@@ -17,12 +17,11 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import corpus, histogram, lognormal, simulate
-from .corpus import CorpusFormatError, EligibilityPolicy
+from .corpus import CorpusFormatError
 from .lognormal import EnsembleError, LognormalParams
 
 EXIT_OK = 0
@@ -45,37 +44,20 @@ class DataError(Exception):
     """Input parsed but holds nothing the requested command can work on."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective settings for one command run; echoed into every report."""
-
-    input_path: str
-    budget_path: str | None = None
-    low_cut: float = 0.1
-    fit_lo: float = 0.0
-    fit_hi: float = 8.0
-    bins_lo: int = 20
-    bins_hi: int = 800
-    n_fits: int = 10_000
-    sigma_sq: tuple[float, ...] = (1.0, 1.3, 1.8)
-    reps: int = 100_000
-    seed: int = 42
-    out_dir: str = "."
-
-
-def _config_lines(cfg: RunConfig) -> list[str]:
+def _config_lines(args: argparse.Namespace) -> list[str]:
+    """The effective settings of one command run; echoed into every report."""
     return [
         "config:",
-        f"  input = {cfg.input_path}",
-        f"  budgets = {cfg.budget_path if cfg.budget_path else '-'}",
-        f"  low_cut = {cfg.low_cut!r}",
-        f"  range = {cfg.fit_lo!r}:{cfg.fit_hi!r}",
-        f"  bins = {cfg.bins_lo}:{cfg.bins_hi}",
-        f"  fits = {cfg.n_fits}",
-        f"  sigma2 = {','.join(repr(s) for s in cfg.sigma_sq)}",
-        f"  reps = {cfg.reps}",
-        f"  seed = {cfg.seed}",
-        f"  out = {cfg.out_dir}",
+        f"  input = {args.input}",
+        f"  budgets = {args.budgets if args.budgets else '-'}",
+        f"  low_cut = {args.low_cut!r}",
+        f"  range = {args.range[0]!r}:{args.range[1]!r}",
+        f"  bins = {args.bins[0]}:{args.bins[1]}",
+        f"  fits = {args.fits}",
+        f"  sigma2 = {','.join(repr(s) for s in args.sigma2)}",
+        f"  reps = {args.reps}",
+        f"  seed = {args.seed}",
+        f"  out = {args.out}",
     ]
 
 
@@ -106,80 +88,45 @@ def _fmt(value: object) -> str:
 # flag parsing
 
 
-def _pos_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _flag_type(convert, ok, what: str):
+    """An argparse type: ``convert`` the text, then accept the value only if ``ok(value)``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"need {what}, got {text!r}")
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"must be a finite value >= 0, got {text}")
-    return value
-
-
-def _float_range(text: str) -> tuple[float, float]:
-    try:
-        lo_s, hi_s = text.split(":")
-        lo, hi = float(lo_s), float(hi_s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not LO:HI") from None
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise argparse.ArgumentTypeError(f"need finite LO < HI, got {text!r}")
-    return lo, hi
-
-
-def _int_range(text: str) -> tuple[int, int]:
-    try:
-        lo_s, hi_s = text.split(":")
-        lo, hi = int(lo_s), int(hi_s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not LO:HI") from None
-    if not (1 <= lo <= hi):
-        raise argparse.ArgumentTypeError(f"need 1 <= LO <= HI, got {text!r}")
-    return lo, hi
-
-
-def _sigma_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(s) for s in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated number list") from None
-    if not values:
-        raise argparse.ArgumentTypeError("sigma2 list must be non-empty")
-    for v in values:
-        if not (math.isfinite(v) and v > 0):
-            raise argparse.ArgumentTypeError(f"sigma2 values must be finite and > 0, got {v}")
-    return values
-
-
-def _n_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(s) for s in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated integer list") from None
-    for v in values:
-        if v < 1:
-            raise argparse.ArgumentTypeError(f"paper counts must be >= 1, got {v}")
-    return values
+_pos_int = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
+_nonneg_int = _flag_type(int, lambda v: v >= 0, "an integer >= 0")
+_nonneg_float = _flag_type(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+# The model lives on x > 0, and a histogram fit needs at least 4 non-empty bins.
+_float_range = _flag_type(
+    lambda t: tuple(map(float, t.split(":"))),
+    lambda r: len(r) == 2 and 0 <= r[0] < r[1] < math.inf,
+    "LO:HI with finite 0 <= LO < HI",
+)
+_int_range = _flag_type(
+    lambda t: tuple(map(int, t.split(":"))),
+    lambda r: len(r) == 2 and 1 <= r[0] <= r[1] and r[1] >= 4,
+    "integers LO:HI with 1 <= LO <= HI and HI >= 4",
+)
+_sigma_list = _flag_type(
+    lambda t: tuple(map(float, t.split(","))),
+    lambda vs: all(0 < v < math.inf for v in vs),
+    "comma-separated finite values > 0",
+)
+_n_list = _flag_type(
+    lambda t: tuple(map(int, t.split(","))),
+    lambda vs: all(v >= 1 for v in vs),
+    "comma-separated paper counts >= 1",
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -217,44 +164,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        input_path=args.input,
-        budget_path=args.budgets,
-        low_cut=args.low_cut,
-        fit_lo=args.range[0],
-        fit_hi=args.range[1],
-        bins_lo=args.bins[0],
-        bins_hi=args.bins[1],
-        n_fits=args.fits,
-        sigma_sq=args.sigma2,
-        reps=args.reps,
-        seed=args.seed,
-        out_dir=args.out,
-    )
-
-
 # ---------------------------------------------------------------------------
 # shared pipeline
 
 
-def _load_corpus(cfg: RunConfig):
+def _load_corpus(args: argparse.Namespace):
     """Parse, dedupe and eligibility-filter the input; load budgets if given."""
-    records, rejections = corpus.read_records(cfg.input_path)
+    records, rejections = corpus.read_records(args.input)
     records, n_dup = corpus.dedupe_per_award(records)
     budgets: dict[str, float] = {}
     budget_rejections: list[corpus.RowRejection] = []
-    if cfg.budget_path:
-        with open(cfg.budget_path, "r", encoding="utf-8", newline="") as fh:
+    if args.budgets:
+        with open(args.budgets, "r", encoding="utf-8", newline="") as fh:
             budgets, budget_rejections = corpus.load_budgets(fh)
-    policy = EligibilityPolicy(low_fwci_threshold=cfg.low_cut)
-    eligible = corpus.filter_eligible(records, policy)
+    eligible = corpus.filter_eligible(records)
     return records, rejections, n_dup, eligible, budgets, budget_rejections
 
 
-def _out_path(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, name)
+def _out_path(args: argparse.Namespace, name: str) -> str:
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
 
 
 # ---------------------------------------------------------------------------
@@ -262,22 +191,21 @@ def _out_path(cfg: RunConfig, name: str) -> str:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    records, rejections, n_dup, eligible, budgets, budget_rej = _load_corpus(cfg)
+    records, rejections, n_dup, eligible, budgets, budget_rej = _load_corpus(args)
 
     summaries = corpus.summarize_awards(eligible, budgets)
     totals = corpus.portfolio_totals(summaries)
-    low, main = corpus.split_low_fwci(eligible, cfg.low_cut)
+    low, main = corpus.split_low_fwci(eligible, args.low_cut)
 
-    with open(_out_path(cfg, "eligible_records.csv"), "w", encoding="utf-8", newline="") as fh:
+    with open(_out_path(args, "eligible_records.csv"), "w", encoding="utf-8", newline="") as fh:
         corpus.write_records_csv(eligible, fh)
 
     rejection_lines = [f"row {r.row}: {r.reason} | {r.raw}" for r in rejections]
     rejection_lines += [f"budget row {r.row}: {r.reason} | {r.raw}" for r in budget_rej]
-    _write_text(_out_path(cfg, "rejections.txt"), rejection_lines or ["no rejections"])
+    _write_text(_out_path(args, "rejections.txt"), rejection_lines or ["no rejections"])
 
     _write_csv(
-        _out_path(cfg, "award_summaries.csv"),
+        _out_path(args, "award_summaries.csv"),
         ["award_code", "n_papers", "mean_fwci", "budget_eur", "cost_per_paper"],
         [
             [s.award_code, s.n_papers, _fmt(s.mean_fwci), _fmt(s.budget), _fmt(s.cost_per_paper)]
@@ -295,7 +223,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     )
     report = [
         "ingest report",
-        *_config_lines(cfg),
+        *_config_lines(args),
         "counts:",
         f"  rows_parsed = {len(records) + len(rejections)}",
         f"  rows_rejected = {len(rejections)}",
@@ -307,45 +235,41 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         f"  {count_line}",
         f"  {cost_line}",
     ]
-    _write_text(_out_path(cfg, "ingest_report.txt"), report)
+    _write_text(_out_path(args, "ingest_report.txt"), report)
 
     print(count_line)
-    print(f"below low cut {cfg.low_cut!r}: {len(low)}; at or above: {len(main)}")
+    print(f"below low cut {args.low_cut!r}: {len(low)}; at or above: {len(main)}")
     print(cost_line)
     return EXIT_OK
 
 
-def _linear_bin_count(cfg: RunConfig) -> int:
-    return max(int(round((cfg.fit_hi - cfg.fit_lo) / _LINEAR_BIN_WIDTH)), 4)
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    _, _, _, eligible, _, _ = _load_corpus(cfg)
+    fit_lo, fit_hi = args.range
+    _, _, _, eligible, _, _ = _load_corpus(args)
     if not eligible:
         raise DataError("no eligible records to fit")
 
     all_values = np.array([r.fwci for r in eligible], dtype=float)
-    low, main = corpus.split_low_fwci(eligible, cfg.low_cut)
+    low, main = corpus.split_low_fwci(eligible, args.low_cut)
     fit_values = np.array(
-        [r.fwci for r in main if cfg.fit_lo < r.fwci < cfg.fit_hi], dtype=float
+        [r.fwci for r in main if fit_lo < r.fwci < fit_hi], dtype=float
     )
     n_outside = len(main) - fit_values.size
     if fit_values.size < 8:
         raise DataError(
-            f"only {fit_values.size} values inside ({cfg.fit_lo!r}, {cfg.fit_hi!r}); too few to fit"
+            f"only {fit_values.size} values inside ({fit_lo!r}, {fit_hi!r}); too few to fit"
         )
 
     ensemble = lognormal.ensemble_fit(
-        fit_values, cfg.fit_lo, cfg.fit_hi, cfg.bins_lo, cfg.bins_hi, cfg.n_fits, cfg.seed
+        fit_values, fit_lo, fit_hi, *args.bins, args.fits, args.seed
     )
     central = LognormalParams(mu=ensemble.mu_p50, sigma=ensemble.sigma_p50)
     stats = lognormal.derived_stats(central)
 
     # Display view: fixed-width bins for plotting plus one fit at that binning
     # so the drawn curve matches the drawn histogram.
-    n_display = _linear_bin_count(cfg)
-    display_hist = histogram.build_histogram(fit_values, cfg.fit_lo, cfg.fit_hi, n_display)
+    n_display = max(int(round((fit_hi - fit_lo) / _LINEAR_BIN_WIDTH)), 4)
+    display_hist = histogram.build_histogram(fit_values, fit_lo, fit_hi, n_display)
     try:
         display_fit = lognormal.fit_histogram(display_hist)
         display_lines = [
@@ -358,19 +282,19 @@ def cmd_fit(args: argparse.Namespace) -> int:
         curve_amp, curve_params = display_fit.amplitude, display_fit.params
     except ValueError as exc:
         display_lines = [f"  unavailable: {exc}"]
-        width = (cfg.fit_hi - cfg.fit_lo) / n_display
+        width = (fit_hi - fit_lo) / n_display
         curve_amp = fit_values.size * width / (central.sigma * math.sqrt(2 * math.pi))
         curve_params = central
 
     _write_csv(
-        _out_path(cfg, "hist_linear.csv"),
+        _out_path(args, "hist_linear.csv"),
         ["center", "count"],
         [[_fmt(float(c)), int(k)] for c, k in zip(display_hist.centers, display_hist.counts)],
     )
-    xs = cfg.fit_lo + (np.arange(_CURVE_POINTS) + 0.5) * (cfg.fit_hi - cfg.fit_lo) / _CURVE_POINTS
+    xs = fit_lo + (np.arange(_CURVE_POINTS) + 0.5) * (fit_hi - fit_lo) / _CURVE_POINTS
     ys = lognormal.scaled_model(xs, curve_amp, curve_params)
     _write_csv(
-        _out_path(cfg, "curve_linear.csv"),
+        _out_path(args, "curve_linear.csv"),
         ["x", "expected_count"],
         [[_fmt(float(x)), _fmt(float(y))] for x, y in zip(xs, ys)],
     )
@@ -380,13 +304,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     log_all = histogram.log_transform(all_values, _ZERO_SHIFT)
     log_hist = histogram.build_histogram(log_all, _LOG_LO, _LOG_HI, _LOG_BINS)
     _write_csv(
-        _out_path(cfg, "hist_log.csv"),
+        _out_path(args, "hist_log.csv"),
         ["center", "count"],
         [[_fmt(float(c)), int(k)] for c, k in zip(log_hist.centers, log_hist.counts)],
     )
 
-    cons_lo = math.log(cfg.low_cut) if cfg.low_cut > 0 else _LOG_LO
-    cons_hi = math.log(cfg.fit_hi)
+    cons_lo = math.log(args.low_cut) if args.low_cut > 0 else _LOG_LO
+    cons_hi = math.log(fit_hi)
     cons_hist = histogram.build_histogram(np.log(fit_values), cons_lo, cons_hi, _LOG_BINS)
     try:
         cons_amp, cons_params = lognormal.fit_normal_log(cons_hist)
@@ -402,11 +326,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     except ValueError as exc:
         cons_lines = [f"  unavailable: {exc}"]
         curve_log_rows = []
-    _write_csv(_out_path(cfg, "curve_log.csv"), ["t", "expected_count"], curve_log_rows)
+    _write_csv(_out_path(args, "curve_log.csv"), ["t", "expected_count"], curve_log_rows)
 
     report = [
         "fit report",
-        *_config_lines(cfg),
+        *_config_lines(args),
         "sample:",
         f"  records_eligible = {len(eligible)}",
         f"  below_low_cut = {len(low)}",
@@ -435,7 +359,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         *display_lines,
         "series files: hist_linear.csv curve_linear.csv hist_log.csv curve_log.csv",
     ]
-    _write_text(_out_path(cfg, "fit_report.txt"), report)
+    _write_text(_out_path(args, "fit_report.txt"), report)
 
     print(f"fitted {fit_values.size} values; ensemble n_failed = {ensemble.n_failed}")
     print(f"mu_p50 = {ensemble.mu_p50!r}, sigma_p50 = {ensemble.sigma_p50!r}")
@@ -444,38 +368,37 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    _, _, _, eligible, budgets, _ = _load_corpus(cfg)
+    _, _, _, eligible, budgets, _ = _load_corpus(args)
     summaries = corpus.summarize_awards(eligible, budgets)
-    baselines = [simulate.BaselineField(s) for s in cfg.sigma_sq]
+    baselines = [simulate.BaselineField(s) for s in args.sigma2]
 
     header = ["award_code", "n_papers", "observed_mean"]
-    for s in cfg.sigma_sq:
+    for s in args.sigma2:
         header += [f"threshold_{s!r}", f"verdict_{s!r}"]
 
     if not summaries:
-        _write_csv(_out_path(cfg, "benchmark.csv"), header, [])
+        _write_csv(_out_path(args, "benchmark.csv"), header, [])
         _write_text(
-            _out_path(cfg, "benchmark_report.txt"),
-            ["benchmark report", *_config_lines(cfg), "no awards in input"],
+            _out_path(args, "benchmark_report.txt"),
+            ["benchmark report", *_config_lines(args), "no awards in input"],
         )
         print("warning: no awards in input", file=sys.stderr)
         return EXIT_OK
 
     benchmarks = [
-        simulate.benchmark_award(s, baselines, cfg.reps, cfg.seed) for s in summaries
+        simulate.benchmark_award(s, baselines, args.reps, args.seed) for s in summaries
     ]
     aggregates = simulate.aggregate_benchmarks(benchmarks)
 
     rows = []
     for b in benchmarks:
         row: list[object] = [b.award_code, b.n_papers, _fmt(b.observed_mean)]
-        for s in cfg.sigma_sq:
+        for s in args.sigma2:
             row += [_fmt(b.thresholds[s]), b.verdicts[s]]
         rows.append(row)
-    _write_csv(_out_path(cfg, "benchmark.csv"), header, rows)
+    _write_csv(_out_path(args, "benchmark.csv"), header, rows)
 
-    report = ["benchmark report", *_config_lines(cfg), f"awards = {len(benchmarks)}"]
+    report = ["benchmark report", *_config_lines(args), f"awards = {len(benchmarks)}"]
     for agg in aggregates:
         combined = agg.n_mean_ge_1 + agg.n_small_sample_pass
         report += [
@@ -489,7 +412,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         ]
     above_counts = [agg.n_above for agg in aggregates]
     report.append(f"above_median across sigma2: {min(above_counts)} to {max(above_counts)}")
-    _write_text(_out_path(cfg, "benchmark_report.txt"), report)
+    _write_text(_out_path(args, "benchmark_report.txt"), report)
 
     for agg in aggregates:
         print(
@@ -500,7 +423,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
     n_list: list[int] = []
     for n in args.n_list:
         if n in n_list:
@@ -508,19 +430,19 @@ def cmd_curve(args: argparse.Namespace) -> int:
         else:
             n_list.append(n)
 
-    baselines = [simulate.BaselineField(s) for s in cfg.sigma_sq]
-    points = simulate.median_curve(n_list, baselines, cfg.reps, cfg.seed)
+    baselines = [simulate.BaselineField(s) for s in args.sigma2]
+    points = simulate.median_curve(n_list, baselines, args.reps, args.seed)
 
     _write_csv(
-        _out_path(cfg, "median_curve.csv"),
+        _out_path(args, "median_curve.csv"),
         ["sigma_sq", "n", "median_mean", "reps", "seed"],
         [[_fmt(p.sigma_sq), p.n, _fmt(p.median_mean), p.reps, p.seed] for p in points],
     )
     _write_text(
-        _out_path(cfg, "curve_report.txt"),
+        _out_path(args, "curve_report.txt"),
         [
             "median curve report",
-            *_config_lines(cfg),
+            *_config_lines(args),
             f"n_list = {','.join(str(n) for n in n_list)}",
             f"points = {len(points)}",
         ],

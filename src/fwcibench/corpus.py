@@ -80,24 +80,6 @@ class PublicationRecord:
 
 
 @dataclass(frozen=True)
-class EligibilityPolicy:
-    """Which publication types count as original research, and whether FWCI is required."""
-
-    included_types: frozenset[str] = DEFAULT_INCLUDED_TYPES
-    require_fwci: bool = True
-    low_fwci_threshold: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not self.included_types:
-            raise ValueError("included_types must be non-empty")
-        unknown = set(self.included_types) - PUBLICATION_TYPES
-        if unknown:
-            raise ValueError(f"unknown publication types: {sorted(unknown)}")
-        if self.low_fwci_threshold < 0:
-            raise ValueError("low_fwci_threshold must be >= 0")
-
-
-@dataclass(frozen=True)
 class AwardSummary:
     """Per-award aggregate over its eligible publications."""
 
@@ -308,18 +290,14 @@ def dedupe_per_award(records: list[PublicationRecord]) -> tuple[list[Publication
     return kept, dropped
 
 
-def filter_eligible(records: Iterable[PublicationRecord], policy: EligibilityPolicy) -> list[PublicationRecord]:
-    """Keep records whose type is included and, if required, that carry an FWCI.
+def filter_eligible(records: Iterable[PublicationRecord]) -> list[PublicationRecord]:
+    """Keep records whose type is in DEFAULT_INCLUDED_TYPES and that carry an FWCI.
 
     A literal FWCI of 0 is a value (an uncited paper), not a missing value;
-    only records with no FWCI at all are dropped under ``require_fwci``.
-    Input order is preserved and no record is mutated.
+    only records with no FWCI at all are dropped. Input order is preserved
+    and no record is mutated.
     """
-    return [
-        r
-        for r in records
-        if r.pub_type in policy.included_types and (not policy.require_fwci or r.fwci is not None)
-    ]
+    return [r for r in records if r.pub_type in DEFAULT_INCLUDED_TYPES and r.fwci is not None]
 
 
 def split_low_fwci(

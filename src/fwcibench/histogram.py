@@ -73,42 +73,3 @@ def log_transform(values, zero_shift: float) -> np.ndarray:
         raise ValueError("log_transform requires non-negative values")
     out = np.where(v > 0, np.log(np.where(v > 0, v, 1.0)), math.log(zero_shift))
     return out
-
-
-def to_text(hist: Histogram) -> str:
-    """Serialize a histogram to line-oriented text (exact float round trip)."""
-    lines = [
-        "histogram v1",
-        f"lo = {hist.lo!r}",
-        f"hi = {hist.hi!r}",
-        f"n_bins = {hist.n_bins}",
-        f"n_dropped = {hist.n_dropped}",
-        "counts = " + " ".join(str(int(c)) for c in hist.counts),
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> Histogram:
-    """Parse the output of :func:`to_text` back into a histogram."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "histogram v1":
-        raise ValueError("not a serialized histogram (missing 'histogram v1' header)")
-    fields: dict[str, str] = {}
-    for ln in lines[1:]:
-        key, _, value = ln.partition("=")
-        fields[key.strip()] = value.strip()
-    try:
-        lo = float(fields["lo"])
-        hi = float(fields["hi"])
-        n_bins = int(fields["n_bins"])
-        n_dropped = int(fields.get("n_dropped", "0"))
-        counts = np.array([int(c) for c in fields["counts"].split()], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"serialized histogram is missing field {exc}") from None
-    if counts.size != n_bins:
-        raise ValueError(f"counts length {counts.size} does not match n_bins {n_bins}")
-    width = (hi - lo) / n_bins
-    centers = lo + (np.arange(n_bins) + 0.5) * width
-    counts.setflags(write=False)
-    centers.setflags(write=False)
-    return Histogram(lo=lo, hi=hi, n_bins=n_bins, counts=counts, centers=centers, n_dropped=n_dropped)

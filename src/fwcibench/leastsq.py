@@ -23,24 +23,20 @@ def damped_least_squares(
     *,
     valid: Callable[[np.ndarray], bool] | None = None,
     max_iter: int = 200,
-    rel_tol: float = 1e-10,
-    lam0: float = 1e-3,
-    lam_up: float = 10.0,
-    lam_down: float = 0.1,
-    lam_max: float = 1e12,
 ) -> LeastSquaresResult:
     """Minimize sum(residual(p)**2) with a damped Gauss-Newton iteration.
 
     ``residual(p)`` returns data minus model; ``jacobian(p)`` returns the
     model's derivative matrix (one column per parameter). Each step solves
     (J'J + lam * diag(J'J)) d = J'r and is accepted only if the cost does not
-    increase; rejected steps raise the damping. ``valid``, when given, marks
-    parameter vectors outside the model's domain, and steps into invalid
-    territory are treated as rejected.
+    increase. The damping lam starts at 1e-3, grows tenfold on a rejected
+    step and shrinks tenfold (to no less than 1e-12) on an accepted one.
+    ``valid``, when given, marks parameter vectors outside the model's
+    domain, and steps into invalid territory are treated as rejected.
 
-    Converged means the accepted step became smaller than ``rel_tol``
-    relative to the parameter vector norm. Hitting ``max_iter`` or damping
-    beyond ``lam_max`` returns the last iterate with converged=False.
+    Converged means the accepted step became smaller than 1e-10 relative to
+    the parameter vector norm. Hitting ``max_iter`` or damping beyond 1e12
+    returns the last iterate with converged=False.
     """
     p = np.asarray(p0, dtype=float).copy()
     if valid is not None and not valid(p):
@@ -50,7 +46,7 @@ def damped_least_squares(
     if not np.isfinite(cost):
         raise ValueError("residual is not finite at the initial parameters")
 
-    lam = lam0
+    lam = 1e-3
     n_iter = 0
     converged = False
     for n_iter in range(1, max_iter + 1):
@@ -64,26 +60,26 @@ def damped_least_squares(
             break
 
         accepted = False
-        while lam <= lam_max:
+        while lam <= 1e12:
             try:
                 step = np.linalg.solve(hess + lam * np.diag(diag), grad)
             except np.linalg.LinAlgError:
-                lam *= lam_up
+                lam *= 10.0
                 continue
             trial = p + step
             if valid is not None and not valid(trial):
-                lam *= lam_up
+                lam *= 10.0
                 continue
             r_trial = np.asarray(residual(trial), dtype=float)
             cost_trial = float(r_trial @ r_trial)
             if np.isfinite(cost_trial) and cost_trial <= cost:
                 p, r, cost = trial, r_trial, cost_trial
-                lam = max(lam * lam_down, 1e-12)
+                lam = max(lam * 0.1, 1e-12)
                 accepted = True
-                if float(np.linalg.norm(step)) <= rel_tol * (rel_tol + float(np.linalg.norm(p))):
+                if float(np.linalg.norm(step)) <= 1e-10 * (1e-10 + float(np.linalg.norm(p))):
                     converged = True
                 break
-            lam *= lam_up
+            lam *= 10.0
         if not accepted or converged:
             break
 

@@ -90,27 +90,50 @@ def pdf(x, params: LognormalParams):
 
     p(x) = 1 / (x sigma sqrt(2 pi)) * exp(-(ln x - mu)^2 / (2 sigma^2)).
     """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("pdf requires x > 0")
-    z = (np.log(arr) - params.mu) / params.sigma
-    out = np.exp(-0.5 * z * z) / (arr * params.sigma * _SQRT_2PI)
-    return float(out) if arr.ndim == 0 else out
+    return scaled_model(x, 1.0 / (params.sigma * _SQRT_2PI), params)
 
 
 def scaled_model(x, amplitude: float, params: LognormalParams):
     """Expected bin count (A / x) * exp(-(ln x - mu)^2 / (2 sigma^2)).
 
-    Setting A = sigma * sqrt(2 pi) recovers the unit-area density exactly.
+    Setting A = 1 / (sigma * sqrt(2 pi)) recovers the unit-area density exactly.
     """
     if not (amplitude > 0):
         raise ValueError(f"amplitude must be > 0, got {amplitude}")
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("scaled_model requires x > 0")
-    z = (np.log(arr) - params.mu) / params.sigma
-    out = amplitude * np.exp(-0.5 * z * z) / arr
+    out = _gaussian((amplitude, params.mu, params.sigma), np.log(arr), arr)
     return float(out) if arr.ndim == 0 else out
+
+
+def _gaussian(p, t: np.ndarray, div: np.ndarray) -> np.ndarray:
+    """A * exp(-(t - mu)^2 / (2 sigma^2)) / div for p = (A, mu, sigma)."""
+    amp, mu, sigma = p
+    z = (t - mu) / sigma
+    return amp * np.exp(-0.5 * z * z) / div
+
+
+def _fit_gaussian(t: np.ndarray, y: np.ndarray, div: np.ndarray, p0: list[float]):
+    """Least-squares fit of :func:`_gaussian` to counts ``y`` at ``t``, from ``p0``.
+
+    The histogram fit divides by x (t = ln x); the ln-space fit divides by
+    ones, which is exact, so both share one residual, Jacobian and domain.
+    """
+
+    def residual(p: np.ndarray) -> np.ndarray:
+        return y - _gaussian(p, t, div)
+
+    def jacobian(p: np.ndarray) -> np.ndarray:
+        amp, mu, sigma = p
+        z = (t - mu) / sigma
+        shape = np.exp(-0.5 * z * z) / div
+        return np.column_stack((shape, amp * shape * z / sigma, amp * shape * z * z / sigma))
+
+    def valid(p: np.ndarray) -> bool:
+        return bool(np.all(np.isfinite(p))) and p[0] > 0 and p[2] > 0
+
+    return damped_least_squares(residual, jacobian, p0, valid=valid)
 
 
 def _moment_init(t: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
@@ -148,24 +171,7 @@ def fit_histogram(hist: Histogram, init: LognormalParams | None = None) -> Logno
     shape_at_peak = math.exp(-0.5 * z0 * z0) / x[peak]
     amp0 = max(y[peak] / max(shape_at_peak, 1e-300), 1e-12)
 
-    def model(p: np.ndarray) -> np.ndarray:
-        amp, mu, sigma = p
-        z = (t - mu) / sigma
-        return amp * np.exp(-0.5 * z * z) / x
-
-    def residual(p: np.ndarray) -> np.ndarray:
-        return y - model(p)
-
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        amp, mu, sigma = p
-        z = (t - mu) / sigma
-        shape = np.exp(-0.5 * z * z) / x
-        return np.column_stack((shape, amp * shape * z / sigma, amp * shape * z * z / sigma))
-
-    def valid(p: np.ndarray) -> bool:
-        return bool(np.all(np.isfinite(p))) and p[0] > 0 and p[2] > 0
-
-    result = damped_least_squares(residual, jacobian, [amp0, mu0, sigma0], valid=valid)
+    result = _fit_gaussian(t, y, x, [amp0, mu0, sigma0])
     amp, mu, sigma = result.params
     return LognormalFit(
         amplitude=float(amp),
@@ -191,25 +197,7 @@ def fit_normal_log(hist: Histogram) -> tuple[float, LognormalParams]:
 
     mu0, sigma0 = _moment_init(t, y)
     amp0 = max(float(y.max()), 1e-12)
-
-    def model(p: np.ndarray) -> np.ndarray:
-        amp, mu, sigma = p
-        z = (t - mu) / sigma
-        return amp * np.exp(-0.5 * z * z)
-
-    def residual(p: np.ndarray) -> np.ndarray:
-        return y - model(p)
-
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        amp, mu, sigma = p
-        z = (t - mu) / sigma
-        shape = np.exp(-0.5 * z * z)
-        return np.column_stack((shape, amp * shape * z / sigma, amp * shape * z * z / sigma))
-
-    def valid(p: np.ndarray) -> bool:
-        return bool(np.all(np.isfinite(p))) and p[0] > 0 and p[2] > 0
-
-    result = damped_least_squares(residual, jacobian, [amp0, mu0, sigma0], valid=valid)
+    result = _fit_gaussian(t, y, np.ones_like(t), [amp0, mu0, sigma0])
     if not result.converged:
         log.warning("normal fit to log histogram did not converge in %d iterations", result.n_iter)
     amp, mu, sigma = result.params
@@ -238,7 +226,7 @@ def ensemble_fit(
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("values must be non-empty")
-    if np.any(arr <= lo) or np.any(arr >= hi):
+    if not np.all((arr > lo) & (arr < hi)):
         raise ValueError(f"values must lie strictly inside ({lo}, {hi}); filter before fitting")
     if not (1 <= bins_lo <= bins_hi):
         raise ValueError(f"need 1 <= bins_lo <= bins_hi, got [{bins_lo}, {bins_hi}]")
@@ -284,18 +272,16 @@ def ensemble_fit(
     )
 
 
-def derived_stats(params: LognormalParams, coverage: float = 0.95) -> DerivedStats:
-    """Closed-form mean, median, mode and a central coverage interval.
+def derived_stats(params: LognormalParams) -> DerivedStats:
+    """Closed-form mean, median, mode and the central 95% interval.
 
     mean = e^(mu + sigma^2/2), median = e^mu, mode = e^(mu - sigma^2); for
     sigma > 0 these are strictly ordered mode < median < mean. The interval
     endpoints are the distribution quantiles e^(mu +- z sigma) with z the
-    standard normal quantile for the requested central coverage.
+    standard normal 97.5% quantile.
     """
-    if not (0 < coverage < 1):
-        raise ValueError(f"coverage must be in (0, 1), got {coverage}")
     mu, sigma = params.mu, params.sigma
-    z = NormalDist().inv_cdf(0.5 + coverage / 2.0)
+    z = NormalDist().inv_cdf(0.975)
     return DerivedStats(
         mean=math.exp(mu + 0.5 * sigma**2),
         median=math.exp(mu),

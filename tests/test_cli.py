@@ -309,14 +309,18 @@ def test_missing_required_input():
     [
         ("--range", "8:0"),
         ("--range", "junk"),
+        ("--range", "-1:8"),
         ("--bins", "0:10"),
+        ("--bins", "1:3"),
         ("--fits", "0"),
         ("--sigma2", "0"),
         ("--seed", "-1"),
     ],
 )
-def test_bad_flag_values(flag, value):
-    assert cli.main(["fit", "--input", "x.csv", flag, value]) == 1
+def test_bad_flag_values(flag, value, capsys):
+    # x.csv does not exist either, so argparse must be the one that says no
+    assert cli.main(["fit", "--input", "x.csv", f"{flag}={value}"]) == 1
+    assert f"argument {flag}" in capsys.readouterr().err
 
 
 def test_bad_n_list(corpus_path):

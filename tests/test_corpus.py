@@ -8,7 +8,6 @@ from fwcibench.corpus import (
     AwardCodeError,
     AwardSummary,
     CorpusFormatError,
-    EligibilityPolicy,
     PublicationRecord,
     RowRejection,
 )
@@ -167,19 +166,18 @@ def test_csv_round_trip():
 
 def test_filter_excludes_review():
     records = [rec(fwci=1.2), rec(pub_type="review", fwci=3.0, source_id="s2")]
-    kept = corpus.filter_eligible(records, EligibilityPolicy())
+    kept = corpus.filter_eligible(records)
     assert kept == [records[0]]
 
 
 def test_filter_drops_absent_fwci_when_required():
     records = [rec(fwci=None)]
-    assert corpus.filter_eligible(records, EligibilityPolicy()) == []
-    assert corpus.filter_eligible(records, EligibilityPolicy(require_fwci=False)) == records
+    assert corpus.filter_eligible(records) == []
 
 
 def test_filter_keeps_zero_fwci():
     records = [rec(pub_type="conference_paper", fwci=0.0)]
-    assert corpus.filter_eligible(records, EligibilityPolicy()) == records
+    assert corpus.filter_eligible(records) == records
 
 
 def test_filter_is_pure_subsequence():
@@ -189,19 +187,10 @@ def test_filter_is_pure_subsequence():
         rec(pub_type="note", fwci=2.0, source_id="c"),
         rec(pub_type="book_chapter", fwci=0.5, source_id="d"),
     ]
-    kept = corpus.filter_eligible(records, EligibilityPolicy())
+    kept = corpus.filter_eligible(records)
     assert kept == [records[0], records[2]]
     it = iter(records)
     assert all(any(k is r for r in it) for k in kept)  # order preserved
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        EligibilityPolicy(included_types=frozenset())
-    with pytest.raises(ValueError):
-        EligibilityPolicy(included_types=frozenset({"poem"}))
-    with pytest.raises(ValueError):
-        EligibilityPolicy(low_fwci_threshold=-0.1)
 
 
 # --- split_low_fwci ---

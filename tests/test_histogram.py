@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fwcibench import histogram
-from fwcibench.histogram import build_histogram, from_text, log_transform, to_text
+from fwcibench.histogram import build_histogram, log_transform
 
 
 def test_basic_counts():
@@ -114,20 +114,3 @@ def test_log_transform_monotone(values):
     shift = min(positive) if positive else 0.5
     out = log_transform(sorted(values), shift)
     assert all(a <= b for a, b in zip(out, out[1:]))
-
-
-# --- serialization ---
-
-
-def test_text_round_trip():
-    h = build_histogram(np.random.default_rng(8).uniform(0, 8, 500), 0.0, 8.0, 23)
-    back = from_text(to_text(h))
-    assert back.lo == h.lo and back.hi == h.hi and back.n_bins == h.n_bins
-    assert back.counts.tolist() == h.counts.tolist()
-    assert back.n_dropped == h.n_dropped
-    assert np.array_equal(back.centers, h.centers)
-
-
-def test_from_text_rejects_garbage():
-    with pytest.raises(ValueError):
-        from_text("not a histogram")

@@ -262,6 +262,8 @@ def test_ensemble_input_validation():
         ensemble_fit(np.array([0.0, 1.0]), 0.0, 8.0, 20, 800, 10, seed=0)
     with pytest.raises(ValueError):
         ensemble_fit(np.array([1.0, 9.0]), 0.0, 8.0, 20, 800, 10, seed=0)
+    with pytest.raises(ValueError, match="strictly inside"):
+        ensemble_fit(np.array([1.0, np.nan]), 0.0, 8.0, 20, 800, 10, seed=0)
     with pytest.raises(ValueError):
         ensemble_fit(vals, 0.0, 8.0, 800, 20, 10, seed=0)
     with pytest.raises(ValueError):
@@ -286,7 +288,7 @@ def test_derived_closed_forms():
 
 
 def test_derived_interval_matches_scipy_quantiles():
-    d = derived_stats(P13, coverage=0.95)
+    d = derived_stats(P13)
     dist = stats.lognorm(s=P13.sigma, scale=math.exp(P13.mu))
     assert d.interval95_lo == pytest.approx(dist.ppf(0.025), rel=1e-10)
     assert d.interval95_hi == pytest.approx(dist.ppf(0.975), rel=1e-10)
@@ -309,13 +311,6 @@ def test_derived_ordering_strict(mu, sigma):
 def test_constrained_family_mean_is_exactly_one(sigma):
     d = derived_stats(LognormalParams(mu=-0.5 * sigma**2, sigma=sigma))
     assert d.mean == 1.0
-
-
-def test_derived_coverage_validation():
-    with pytest.raises(ValueError):
-        derived_stats(P13, coverage=1.0)
-    with pytest.raises(ValueError):
-        derived_stats(P13, coverage=0.0)
 
 
 # --- percentile_of ---
