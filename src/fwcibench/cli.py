@@ -6,17 +6,20 @@ and nothing embeds a timestamp or machine detail: the same inputs, flags and
 seed produce byte-identical output files on every run.
 
 Exit codes: 0 success, 1 usage error (bad flags, unreadable path), 2 data
-error (malformed corpus, nothing to process), 3 numerical failure (ensemble
-or fit breakdown).
+error (malformed corpus, text that is not UTF-8, a CSV the csv module cannot
+read, nothing to process), 3 numerical failure (ensemble or fit breakdown,
+a simulated median that underflows).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,10 +70,8 @@ def _write_text(path: str, lines: list[str]) -> None:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[object]]) -> None:
-    import csv as _csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -82,6 +83,21 @@ def _fmt(value: object) -> str:
         # plain-float repr even for numpy scalar subclasses
         return repr(float(value))
     return str(value)
+
+
+def _write_report(args: argparse.Namespace, name: str, title: str, lines: list[str]) -> None:
+    """A text report: its title, the run's config block, then ``lines``."""
+    _write_text(_out_path(args, name), [title, *_config_lines(args), *lines])
+
+
+def _write_series(args: argparse.Namespace, name: str, header: list[str], xs, ys) -> None:
+    """A two-column CSV series: floats in repr form, integer counts as integers."""
+    _write_csv(_out_path(args, name), header, [[_fmt(x), _fmt(y)] for x, y in zip(xs, ys)])
+
+
+def _grid(lo: float, hi: float) -> np.ndarray:
+    """Midpoints of _CURVE_POINTS equal steps over [lo, hi], where a curve is drawn."""
+    return lo + (np.arange(_CURVE_POINTS) + 0.5) * (hi - lo) / _CURVE_POINTS
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +184,19 @@ def _build_parser() -> argparse.ArgumentParser:
 # shared pipeline
 
 
-def _load_corpus(args: argparse.Namespace):
+@dataclass(frozen=True)
+class _Corpus:
+    """One run's input: deduplicated records, their eligible subset, budgets and every rejection."""
+
+    records: list[corpus.PublicationRecord]
+    rejections: list[corpus.RowRejection]
+    n_duplicates: int
+    eligible: list[corpus.PublicationRecord]
+    budgets: dict[str, float]
+    budget_rejections: list[corpus.RowRejection]
+
+
+def _load_corpus(args: argparse.Namespace) -> _Corpus:
     """Parse, dedupe and eligibility-filter the input; load budgets if given."""
     records, rejections = corpus.read_records(args.input)
     records, n_dup = corpus.dedupe_per_award(records)
@@ -177,8 +205,7 @@ def _load_corpus(args: argparse.Namespace):
     if args.budgets:
         with open(args.budgets, "r", encoding="utf-8", newline="") as fh:
             budgets, budget_rejections = corpus.load_budgets(fh)
-    eligible = corpus.filter_eligible(records)
-    return records, rejections, n_dup, eligible, budgets, budget_rejections
+    return _Corpus(records, rejections, n_dup, corpus.filter_eligible(records), budgets, budget_rejections)
 
 
 def _out_path(args: argparse.Namespace, name: str) -> str:
@@ -191,17 +218,17 @@ def _out_path(args: argparse.Namespace, name: str) -> str:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    records, rejections, n_dup, eligible, budgets, budget_rej = _load_corpus(args)
+    data = _load_corpus(args)
 
-    summaries = corpus.summarize_awards(eligible, budgets)
+    summaries = corpus.summarize_awards(data.eligible, data.budgets)
     totals = corpus.portfolio_totals(summaries)
-    low, main = corpus.split_low_fwci(eligible, args.low_cut)
+    low, main = corpus.split_low_fwci(data.eligible, args.low_cut)
 
     with open(_out_path(args, "eligible_records.csv"), "w", encoding="utf-8", newline="") as fh:
-        corpus.write_records_csv(eligible, fh)
+        corpus.write_records_csv(data.eligible, fh)
 
-    rejection_lines = [f"row {r.row}: {r.reason} | {r.raw}" for r in rejections]
-    rejection_lines += [f"budget row {r.row}: {r.reason} | {r.raw}" for r in budget_rej]
+    rejection_lines = [f"row {r.row}: {r.reason} | {r.raw}" for r in data.rejections]
+    rejection_lines += [f"budget row {r.row}: {r.reason} | {r.raw}" for r in data.budget_rejections]
     _write_text(_out_path(args, "rejections.txt"), rejection_lines or ["no rejections"])
 
     _write_csv(
@@ -222,20 +249,18 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         else "cost_per_paper = n/a (no budgets)"
     )
     report = [
-        "ingest report",
-        *_config_lines(args),
         "counts:",
-        f"  rows_parsed = {len(records) + len(rejections)}",
-        f"  rows_rejected = {len(rejections)}",
-        f"  duplicates_dropped = {n_dup}",
-        f"  records_eligible = {len(eligible)}",
+        f"  rows_parsed = {len(data.records) + len(data.rejections)}",
+        f"  rows_rejected = {len(data.rejections)}",
+        f"  duplicates_dropped = {data.n_duplicates}",
+        f"  records_eligible = {len(data.eligible)}",
         f"  below_low_cut = {len(low)}",
         f"  at_or_above_low_cut = {len(main)}",
-        f"  budget_rows_rejected = {len(budget_rej)}",
+        f"  budget_rows_rejected = {len(data.budget_rejections)}",
         f"  {count_line}",
         f"  {cost_line}",
     ]
-    _write_text(_out_path(args, "ingest_report.txt"), report)
+    _write_report(args, "ingest_report.txt", "ingest report", report)
 
     print(count_line)
     print(f"below low cut {args.low_cut!r}: {len(low)}; at or above: {len(main)}")
@@ -245,7 +270,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     fit_lo, fit_hi = args.range
-    _, _, _, eligible, _, _ = _load_corpus(args)
+    eligible = _load_corpus(args).eligible
     if not eligible:
         raise DataError("no eligible records to fit")
 
@@ -286,28 +311,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
         curve_amp = fit_values.size * width / (central.sigma * math.sqrt(2 * math.pi))
         curve_params = central
 
-    _write_csv(
-        _out_path(args, "hist_linear.csv"),
-        ["center", "count"],
-        [[_fmt(float(c)), int(k)] for c, k in zip(display_hist.centers, display_hist.counts)],
-    )
-    xs = fit_lo + (np.arange(_CURVE_POINTS) + 0.5) * (fit_hi - fit_lo) / _CURVE_POINTS
-    ys = lognormal.scaled_model(xs, curve_amp, curve_params)
-    _write_csv(
-        _out_path(args, "curve_linear.csv"),
-        ["x", "expected_count"],
-        [[_fmt(float(x)), _fmt(float(y))] for x, y in zip(xs, ys)],
+    _write_series(args, "hist_linear.csv", ["center", "count"], display_hist.centers, display_hist.counts)
+    xs = _grid(fit_lo, fit_hi)
+    _write_series(
+        args, "curve_linear.csv", ["x", "expected_count"], xs, lognormal.scaled_model(xs, curve_amp, curve_params)
     )
 
     # Log view: whole eligible sample with zeros displaced, for display; the
     # cross-check normal fit runs on ln of the fitted sample only.
     log_all = histogram.log_transform(all_values, _ZERO_SHIFT)
     log_hist = histogram.build_histogram(log_all, _LOG_LO, _LOG_HI, _LOG_BINS)
-    _write_csv(
-        _out_path(args, "hist_log.csv"),
-        ["center", "count"],
-        [[_fmt(float(c)), int(k)] for c, k in zip(log_hist.centers, log_hist.counts)],
-    )
+    _write_series(args, "hist_log.csv", ["center", "count"], log_hist.centers, log_hist.counts)
 
     cons_lo = math.log(args.low_cut) if args.low_cut > 0 else _LOG_LO
     cons_hi = math.log(fit_hi)
@@ -320,17 +334,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
             f"  mu = {cons_params.mu!r}",
             f"  sigma = {cons_params.sigma!r}",
         ]
-        ts = cons_lo + (np.arange(_CURVE_POINTS) + 0.5) * (cons_hi - cons_lo) / _CURVE_POINTS
-        gs = cons_amp * np.exp(-0.5 * ((ts - cons_params.mu) / cons_params.sigma) ** 2)
-        curve_log_rows = [[_fmt(float(t)), _fmt(float(g))] for t, g in zip(ts, gs)]
+        ts = _grid(cons_lo, cons_hi)
+        gs = lognormal.gaussian((cons_amp, cons_params.mu, cons_params.sigma), ts)
     except ValueError as exc:
         cons_lines = [f"  unavailable: {exc}"]
-        curve_log_rows = []
-    _write_csv(_out_path(args, "curve_log.csv"), ["t", "expected_count"], curve_log_rows)
+        ts = gs = []
+    _write_series(args, "curve_log.csv", ["t", "expected_count"], ts, gs)
 
     report = [
-        "fit report",
-        *_config_lines(args),
         "sample:",
         f"  records_eligible = {len(eligible)}",
         f"  below_low_cut = {len(low)}",
@@ -359,7 +370,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         *display_lines,
         "series files: hist_linear.csv curve_linear.csv hist_log.csv curve_log.csv",
     ]
-    _write_text(_out_path(args, "fit_report.txt"), report)
+    _write_report(args, "fit_report.txt", "fit report", report)
 
     print(f"fitted {fit_values.size} values; ensemble n_failed = {ensemble.n_failed}")
     print(f"mu_p50 = {ensemble.mu_p50!r}, sigma_p50 = {ensemble.sigma_p50!r}")
@@ -368,28 +379,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    _, _, _, eligible, budgets, _ = _load_corpus(args)
-    summaries = corpus.summarize_awards(eligible, budgets)
+    data = _load_corpus(args)
+    summaries = corpus.summarize_awards(data.eligible, data.budgets)
     baselines = [simulate.BaselineField(s) for s in args.sigma2]
+    benchmarks = [
+        simulate.benchmark_award(s, baselines, args.reps, args.seed) for s in summaries
+    ]
 
     header = ["award_code", "n_papers", "observed_mean"]
     for s in args.sigma2:
         header += [f"threshold_{s!r}", f"verdict_{s!r}"]
-
-    if not summaries:
-        _write_csv(_out_path(args, "benchmark.csv"), header, [])
-        _write_text(
-            _out_path(args, "benchmark_report.txt"),
-            ["benchmark report", *_config_lines(args), "no awards in input"],
-        )
-        print("warning: no awards in input", file=sys.stderr)
-        return EXIT_OK
-
-    benchmarks = [
-        simulate.benchmark_award(s, baselines, args.reps, args.seed) for s in summaries
-    ]
-    aggregates = simulate.aggregate_benchmarks(benchmarks)
-
     rows = []
     for b in benchmarks:
         row: list[object] = [b.award_code, b.n_papers, _fmt(b.observed_mean)]
@@ -398,7 +397,13 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         rows.append(row)
     _write_csv(_out_path(args, "benchmark.csv"), header, rows)
 
-    report = ["benchmark report", *_config_lines(args), f"awards = {len(benchmarks)}"]
+    if not benchmarks:
+        _write_report(args, "benchmark_report.txt", "benchmark report", ["no awards in input"])
+        print("warning: no awards in input", file=sys.stderr)
+        return EXIT_OK
+
+    aggregates = simulate.aggregate_benchmarks(benchmarks)
+    report = [f"awards = {len(benchmarks)}"]
     for agg in aggregates:
         combined = agg.n_mean_ge_1 + agg.n_small_sample_pass
         report += [
@@ -412,7 +417,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         ]
     above_counts = [agg.n_above for agg in aggregates]
     report.append(f"above_median across sigma2: {min(above_counts)} to {max(above_counts)}")
-    _write_text(_out_path(args, "benchmark_report.txt"), report)
+    _write_report(args, "benchmark_report.txt", "benchmark report", report)
 
     for agg in aggregates:
         print(
@@ -438,15 +443,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
         ["sigma_sq", "n", "median_mean", "reps", "seed"],
         [[_fmt(p.sigma_sq), p.n, _fmt(p.median_mean), p.reps, p.seed] for p in points],
     )
-    _write_text(
-        _out_path(args, "curve_report.txt"),
-        [
-            "median curve report",
-            *_config_lines(args),
-            f"n_list = {','.join(str(n) for n in n_list)}",
-            f"points = {len(points)}",
-        ],
-    )
+    report = [f"n_list = {','.join(str(n) for n in n_list)}", f"points = {len(points)}"]
+    _write_report(args, "curve_report.txt", "median curve report", report)
     print(f"wrote median_curve.csv ({len(points)} points)")
     return EXIT_OK
 
@@ -465,7 +463,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusFormatError, DataError) as exc:
+    except (CorpusFormatError, DataError, UnicodeDecodeError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (EnsembleError, ValueError) as exc:

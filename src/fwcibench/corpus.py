@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, TextIO
-
-log = logging.getLogger(__name__)
+from typing import Iterable, Iterator, Mapping, TextIO
 
 PUBLICATION_TYPES = frozenset(
     {
@@ -179,35 +176,36 @@ def _record_from_fields(fields: Mapping[str, object], row: int, raw: str) -> Pub
     )
 
 
-def _parse_csv(stream: TextIO) -> tuple[list[PublicationRecord], list[RowRejection]]:
+def _csv_rows(stream: TextIO, required: tuple[str, ...], what: str) -> Iterator[tuple[int, dict[str, str], str]]:
+    """Yield ``(line_num, {column: cell}, raw)`` for each non-blank data row of a CSV table.
+
+    The header must name every column in ``required`` (case and surrounding
+    blanks ignored); other columns are ignored. A row shorter than the
+    header reads its missing cells as empty.
+    """
     reader = csv.reader(stream)
     try:
         header = next(reader)
     except StopIteration:
-        raise CorpusFormatError("empty input: no header row") from None
+        raise CorpusFormatError(f"empty {what} table: no header row") from None
     cols = [c.strip().lower() for c in header]
-    missing = [c for c in CSV_COLUMNS if c not in cols]
+    missing = [c for c in required if c not in cols]
     if missing:
-        raise CorpusFormatError(f"header is missing columns: {', '.join(missing)}")
-    index = {name: cols.index(name) for name in CSV_COLUMNS}
-
-    records: list[PublicationRecord] = []
-    rejections: list[RowRejection] = []
+        raise CorpusFormatError(f"{what} header is missing columns: {', '.join(missing)}")
+    index = {name: cols.index(name) for name in required}
     for cells in reader:
         if not cells or all(c.strip() == "" for c in cells):
             continue
         fields = {name: (cells[i] if i < len(cells) else "") for name, i in index.items()}
-        out = _record_from_fields(fields, reader.line_num, ",".join(cells))
-        if isinstance(out, RowRejection):
-            rejections.append(out)
-        else:
-            records.append(out)
-    return records, rejections
+        yield reader.line_num, fields, ",".join(cells)
 
 
-def _parse_jsonl(stream: TextIO) -> tuple[list[PublicationRecord], list[RowRejection]]:
-    records: list[PublicationRecord] = []
-    rejections: list[RowRejection] = []
+def _jsonl_rows(stream: TextIO) -> Iterator[tuple[int, Mapping[str, object] | str, str]]:
+    """Yield ``(line_num, fields, raw)`` for each non-blank line of a JSONL stream.
+
+    ``fields`` is the line's JSON object, or the reason for rejecting a line
+    that is not one.
+    """
     for lineno, line in enumerate(stream, start=1):
         raw = line.rstrip("\n")
         if not raw.strip():
@@ -215,17 +213,9 @@ def _parse_jsonl(stream: TextIO) -> tuple[list[PublicationRecord], list[RowRejec
         try:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
-            rejections.append(RowRejection(lineno, f"not valid JSON: {exc.msg}", raw))
+            yield lineno, f"not valid JSON: {exc.msg}", raw
             continue
-        if not isinstance(obj, dict):
-            rejections.append(RowRejection(lineno, "line is not a JSON object", raw))
-            continue
-        out = _record_from_fields(obj, lineno, raw)
-        if isinstance(out, RowRejection):
-            rejections.append(out)
-        else:
-            records.append(out)
-    return records, rejections
+        yield lineno, (obj if isinstance(obj, dict) else "line is not a JSON object"), raw
 
 
 def parse_records(stream: TextIO, fmt: str = "csv") -> tuple[list[PublicationRecord], list[RowRejection]]:
@@ -237,10 +227,23 @@ def parse_records(stream: TextIO, fmt: str = "csv") -> tuple[list[PublicationRec
     row number and reason. An empty FWCI cell parses to absent, not zero.
     """
     if fmt == "csv":
-        return _parse_csv(stream)
-    if fmt == "jsonl":
-        return _parse_jsonl(stream)
-    raise ValueError(f"unknown record format {fmt!r} (expected 'csv' or 'jsonl')")
+        rows = _csv_rows(stream, CSV_COLUMNS, "record")
+    elif fmt == "jsonl":
+        rows = _jsonl_rows(stream)
+    else:
+        raise ValueError(f"unknown record format {fmt!r} (expected 'csv' or 'jsonl')")
+    records: list[PublicationRecord] = []
+    rejections: list[RowRejection] = []
+    for line_num, fields, raw in rows:
+        if isinstance(fields, str):
+            rejections.append(RowRejection(line_num, fields, raw))
+            continue
+        out = _record_from_fields(fields, line_num, raw)
+        if isinstance(out, RowRejection):
+            rejections.append(out)
+        else:
+            records.append(out)
+    return records, rejections
 
 
 def read_records(path: str) -> tuple[list[PublicationRecord], list[RowRejection]]:
@@ -283,7 +286,6 @@ def dedupe_per_award(records: list[PublicationRecord]) -> tuple[list[Publication
             key = (r.award_code, r.source_id)
             if key in seen:
                 dropped += 1
-                log.warning("duplicate source_id %r within award %s: keeping first", r.source_id, r.award_code)
                 continue
             seen.add(key)
         kept.append(r)
@@ -352,35 +354,21 @@ def summarize_awards(
 
 def load_budgets(stream: TextIO) -> tuple[dict[str, float], list[RowRejection]]:
     """Read a two-column budget file (award_code, budget_eur) keyed by normalized code."""
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CorpusFormatError("empty budget file: no header row") from None
-    cols = [c.strip().lower() for c in header]
-    for required in ("award_code", "budget_eur"):
-        if required not in cols:
-            raise CorpusFormatError(f"budget header is missing column: {required}")
-    code_i, amount_i = cols.index("award_code"), cols.index("budget_eur")
-
     budgets: dict[str, float] = {}
     rejections: list[RowRejection] = []
-    for cells in reader:
-        if not cells or all(c.strip() == "" for c in cells):
-            continue
-        raw = ",".join(cells)
+    for line_num, fields, raw in _csv_rows(stream, ("award_code", "budget_eur"), "budget"):
         try:
-            code = normalize_award_code(cells[code_i] if code_i < len(cells) else "")
+            code = normalize_award_code(fields["award_code"])
         except AwardCodeError as exc:
-            rejections.append(RowRejection(reader.line_num, f"award code {exc.reason}", raw))
+            rejections.append(RowRejection(line_num, f"award code {exc.reason}", raw))
             continue
         try:
-            amount = float(cells[amount_i]) if amount_i < len(cells) else float("nan")
+            amount = float(fields["budget_eur"])
         except ValueError:
-            rejections.append(RowRejection(reader.line_num, "budget_eur is not a number", raw))
+            rejections.append(RowRejection(line_num, "budget_eur is not a number", raw))
             continue
         if not math.isfinite(amount) or amount < 0:
-            rejections.append(RowRejection(reader.line_num, "budget_eur must be a finite non-negative amount", raw))
+            rejections.append(RowRejection(line_num, "budget_eur must be a finite non-negative amount", raw))
             continue
         budgets[code] = amount
     return budgets, rejections

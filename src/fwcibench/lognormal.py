@@ -103,26 +103,30 @@ def scaled_model(x, amplitude: float, params: LognormalParams):
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("scaled_model requires x > 0")
-    out = _gaussian((amplitude, params.mu, params.sigma), np.log(arr), arr)
+    out = gaussian((amplitude, params.mu, params.sigma), np.log(arr), arr)
     return float(out) if arr.ndim == 0 else out
 
 
-def _gaussian(p, t: np.ndarray, div: np.ndarray) -> np.ndarray:
-    """A * exp(-(t - mu)^2 / (2 sigma^2)) / div for p = (A, mu, sigma)."""
+def gaussian(p, t: np.ndarray, div: np.ndarray | float = 1.0) -> np.ndarray:
+    """A * exp(-(t - mu)^2 / (2 sigma^2)) / div for p = (A, mu, sigma).
+
+    With the default ``div`` this is the Gaussian in t = ln x; dividing by
+    x gives the scaled lognormal model.
+    """
     amp, mu, sigma = p
     z = (t - mu) / sigma
     return amp * np.exp(-0.5 * z * z) / div
 
 
-def _fit_gaussian(t: np.ndarray, y: np.ndarray, div: np.ndarray, p0: list[float]):
-    """Least-squares fit of :func:`_gaussian` to counts ``y`` at ``t``, from ``p0``.
+def _fit_gaussian(t: np.ndarray, y: np.ndarray, div: np.ndarray | float, p0: list[float]):
+    """Least-squares fit of :func:`gaussian` to counts ``y`` at ``t``, from ``p0``.
 
     The histogram fit divides by x (t = ln x); the ln-space fit divides by
-    ones, which is exact, so both share one residual, Jacobian and domain.
+    1.0, which is exact, so both share one residual, Jacobian and domain.
     """
 
     def residual(p: np.ndarray) -> np.ndarray:
-        return y - _gaussian(p, t, div)
+        return y - gaussian(p, t, div)
 
     def jacobian(p: np.ndarray) -> np.ndarray:
         amp, mu, sigma = p
@@ -197,7 +201,7 @@ def fit_normal_log(hist: Histogram) -> tuple[float, LognormalParams]:
 
     mu0, sigma0 = _moment_init(t, y)
     amp0 = max(float(y.max()), 1e-12)
-    result = _fit_gaussian(t, y, np.ones_like(t), [amp0, mu0, sigma0])
+    result = _fit_gaussian(t, y, 1.0, [amp0, mu0, sigma0])
     if not result.converged:
         log.warning("normal fit to log histogram did not converge in %d iterations", result.n_iter)
     amp, mu, sigma = result.params

@@ -142,7 +142,10 @@ def _median_mean(n: int, sigma_sq: float, reps: int, seed: int) -> float:
         means[done : done + m] = np.exp(mu + sigma * z).reshape(m, n).mean(axis=1)
         done += m
     # np.median averages the two central order statistics when reps is even.
-    return float(np.median(means))
+    median = float(np.median(means))
+    if not median > 0:
+        raise ValueError(f"simulated median of means underflows to {median!r} at sigma2 = {sigma_sq!r}, n = {n}")
+    return median
 
 
 def median_of_means(n: int, baseline: BaselineField, reps: int, seed: int) -> MedianCurvePoint:

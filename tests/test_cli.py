@@ -116,6 +116,29 @@ def test_malformed_header(tmp_path):
     assert cli.main(["ingest", "--input", str(path), "--out", str(tmp_path)]) == 2
 
 
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--input", "--budgets"])
+def test_non_utf8_file_is_a_data_error(corpus_path, budget_path, tmp_path, flag, capsys):
+    paths = {"--input": corpus_path, "--budgets": budget_path}
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(paths[flag].read_bytes() + b"11/IA/2000,caf\xe9\n")
+    paths[flag] = bad
+    args = ["ingest", "--input", str(paths["--input"]), "--budgets", str(paths["--budgets"])]
+    assert cli.main([*args, "--out", str(tmp_path / "out")]) == 2
+    assert_one_line_error(capsys)
+
+
+def test_oversized_csv_field_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    write_csv(path, list(CSV_COLUMNS), [["11/IA/2000", 2019, "article", "1.0", 1, "x" * 200_000, "W1"]])
+    assert cli.main(["ingest", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert_one_line_error(capsys)
+
+
 # --- fit ---
 
 
@@ -286,6 +309,22 @@ def test_curve_dedupes_n_list(corpus_path, tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
     with open(out / "median_curve.csv", encoding="utf-8", newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 3
+
+
+@pytest.mark.parametrize(
+    "command,output",
+    [
+        (["benchmark", "--sigma2", "1e6"], "benchmark.csv"),
+        (["curve", "--sigma2", "2000", "--n-list", "1,400"], "median_curve.csv"),
+    ],
+    ids=["benchmark", "curve"],
+)
+def test_underflowing_sigma2_writes_no_threshold(corpus_path, tmp_path, command, output, capsys):
+    out = tmp_path / "out"
+    code = cli.main([*command, "--input", str(corpus_path), "--out", str(out), "--reps", "100"])
+    assert code == 3
+    assert "underflows" in capsys.readouterr().err
+    assert not (out / output).exists()
 
 
 # --- usage errors ---

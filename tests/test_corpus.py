@@ -232,10 +232,11 @@ def test_split_counts_generated_sample(trunc_sampler):
 # --- dedupe_per_award ---
 
 
-def test_dedupe_keeps_first_within_award():
+def test_dedupe_keeps_first_within_award(caplog):
     records = [rec(fwci=1.0, source_id="x"), rec(fwci=2.0, source_id="x"), rec(fwci=3.0, source_id="y")]
     kept, dropped = corpus.dedupe_per_award(records)
     assert kept == [records[0], records[2]] and dropped == 1
+    assert not caplog.records  # the count is the report; no log line per duplicate
 
 
 def test_dedupe_allows_same_paper_on_two_awards():
@@ -297,10 +298,14 @@ def test_summary_paper_counts_sum_to_input(pairs):
 
 
 def test_load_budgets():
-    text = "award_code,budget_eur\nSFI/12/IA/1570,2500000\nbad code,100\n12/IA/2222,-5\n"
+    text = "award_code,budget_eur\nSFI/12/IA/1570,2500000\nbad code,100\n12/IA/2222,-5\n12/IA/3333\n"
     budgets, rejections = corpus.load_budgets(io.StringIO(text))
     assert budgets == {"12/IA/1570": 2_500_000.0}
-    assert len(rejections) == 2
+    assert [(r.row, r.reason) for r in rejections] == [
+        (3, "award code does not match YY/IA/XXXX"),
+        (4, "budget_eur must be a finite non-negative amount"),
+        (5, "budget_eur is not a number"),  # a short row reads its missing cell as empty
+    ]
 
 
 def test_load_budgets_missing_column():

@@ -126,6 +126,12 @@ def test_chunked_draws_match_unchunked(monkeypatch):
     assert whole == chunked
 
 
+def test_median_that_underflows_is_an_error():
+    # mu = -1000: the median draw, e^-1000, underflows to 0
+    with pytest.raises(ValueError, match=r"sigma2 = 2000\.0, n = 1"):
+        median_of_means(1, BaselineField(2000.0), 100, SEED)
+
+
 def test_median_of_means_validation():
     with pytest.raises(ValueError):
         median_of_means(0, BaselineField(1.0), 10, 1)
