@@ -203,8 +203,7 @@ def _load_corpus(args: argparse.Namespace) -> _Corpus:
     budgets: dict[str, float] = {}
     budget_rejections: list[corpus.RowRejection] = []
     if args.budgets:
-        with open(args.budgets, "r", encoding="utf-8", newline="") as fh:
-            budgets, budget_rejections = corpus.load_budgets(fh)
+        budgets, budget_rejections = corpus.read_budgets(args.budgets)
     return _Corpus(records, rejections, n_dup, corpus.filter_eligible(records), budgets, budget_rejections)
 
 
@@ -463,7 +462,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusFormatError, DataError, UnicodeDecodeError, csv.Error) as exc:
+    except (CorpusFormatError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (EnsembleError, ValueError) as exc:

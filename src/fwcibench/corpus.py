@@ -7,7 +7,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 PUBLICATION_TYPES = frozenset(
     {
@@ -40,7 +40,7 @@ class AwardCodeError(ValueError):
 
 
 class CorpusFormatError(Exception):
-    """The input stream cannot be read as a record table at all (bad header, not a table)."""
+    """The input cannot be read as a table at all (bad header, not a table, not UTF-8 text)."""
 
 
 def normalize_award_code(raw: str) -> str:
@@ -181,23 +181,26 @@ def _csv_rows(stream: TextIO, required: tuple[str, ...], what: str) -> Iterator[
 
     The header must name every column in ``required`` (case and surrounding
     blanks ignored); other columns are ignored. A row shorter than the
-    header reads its missing cells as empty.
+    header reads its missing cells as empty. A line the ``csv`` module cannot
+    read raises :class:`CorpusFormatError` with its line number.
     """
     reader = csv.reader(stream)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise CorpusFormatError(f"empty {what} table: no header row") from None
-    cols = [c.strip().lower() for c in header]
-    missing = [c for c in required if c not in cols]
-    if missing:
-        raise CorpusFormatError(f"{what} header is missing columns: {', '.join(missing)}")
-    index = {name: cols.index(name) for name in required}
-    for cells in reader:
-        if not cells or all(c.strip() == "" for c in cells):
-            continue
-        fields = {name: (cells[i] if i < len(cells) else "") for name, i in index.items()}
-        yield reader.line_num, fields, ",".join(cells)
+        header = next(reader, None)
+        if header is None:
+            raise CorpusFormatError(f"empty {what} table: no header row")
+        cols = [c.strip().lower() for c in header]
+        missing = [c for c in required if c not in cols]
+        if missing:
+            raise CorpusFormatError(f"{what} header is missing columns: {', '.join(missing)}")
+        index = {name: cols.index(name) for name in required}
+        for cells in reader:
+            if not cells or all(c.strip() == "" for c in cells):
+                continue
+            fields = {name: (cells[i] if i < len(cells) else "") for name, i in index.items()}
+            yield reader.line_num, fields, ",".join(cells)
+    except csv.Error as exc:
+        raise CorpusFormatError(f"line {reader.line_num}: {exc}") from exc
 
 
 def _jsonl_rows(stream: TextIO) -> Iterator[tuple[int, Mapping[str, object] | str, str]]:
@@ -246,11 +249,19 @@ def parse_records(stream: TextIO, fmt: str = "csv") -> tuple[list[PublicationRec
     return records, rejections
 
 
+def _read_file(path: str, parse: Callable[[TextIO], tuple]) -> tuple:
+    """``parse`` the UTF-8 text file at ``path``; a format error names the file."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            return parse(fh)
+        except (CorpusFormatError, UnicodeDecodeError) as exc:
+            raise CorpusFormatError(f"{path}: {exc}") from exc
+
+
 def read_records(path: str) -> tuple[list[PublicationRecord], list[RowRejection]]:
     """Parse a record file, picking the format from its suffix (.jsonl/.ndjson vs CSV)."""
     fmt = "jsonl" if str(path).lower().endswith((".jsonl", ".ndjson")) else "csv"
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_records(fh, fmt=fmt)
+    return _read_file(path, lambda fh: parse_records(fh, fmt=fmt))
 
 
 def write_records_csv(records: Iterable[PublicationRecord], stream: TextIO) -> None:
@@ -372,6 +383,11 @@ def load_budgets(stream: TextIO) -> tuple[dict[str, float], list[RowRejection]]:
             continue
         budgets[code] = amount
     return budgets, rejections
+
+
+def read_budgets(path: str) -> tuple[dict[str, float], list[RowRejection]]:
+    """Read a budget file with :func:`load_budgets`."""
+    return _read_file(path, load_budgets)
 
 
 def portfolio_totals(summaries: Iterable[AwardSummary]) -> PortfolioTotals:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,26 +44,28 @@ def damped_least_squares(
         raise ValueError("initial parameters are outside the model domain")
     r = np.asarray(residual(p), dtype=float)
     cost = float(r @ r)
-    if not np.isfinite(cost):
+    if not math.isfinite(cost):
         raise ValueError("residual is not finite at the initial parameters")
 
     lam = 1e-3
     n_iter = 0
     converged = False
+    on_diag = np.diag_indices(p.size)
     for n_iter in range(1, max_iter + 1):
         jac = np.asarray(jacobian(p), dtype=float)
         grad = jac.T @ r
         hess = jac.T @ jac
-        diag = np.diag(hess).copy()
+        diag = hess.diagonal().copy()
         diag[diag <= 0] = 1.0
-        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-            converged = False
+        if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
             break
 
         accepted = False
         while lam <= 1e12:
+            damped = hess.copy()
+            damped[on_diag] += lam * diag
             try:
-                step = np.linalg.solve(hess + lam * np.diag(diag), grad)
+                step = np.linalg.solve(damped, grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -72,11 +75,11 @@ def damped_least_squares(
                 continue
             r_trial = np.asarray(residual(trial), dtype=float)
             cost_trial = float(r_trial @ r_trial)
-            if np.isfinite(cost_trial) and cost_trial <= cost:
+            if math.isfinite(cost_trial) and cost_trial <= cost:
                 p, r, cost = trial, r_trial, cost_trial
                 lam = max(lam * 0.1, 1e-12)
                 accepted = True
-                if float(np.linalg.norm(step)) <= 1e-10 * (1e-10 + float(np.linalg.norm(p))):
+                if math.sqrt(step @ step) <= 1e-10 * (1e-10 + math.sqrt(p @ p)):
                     converged = True
                 break
             lam *= 10.0

@@ -5,8 +5,8 @@ log-spread sigma. Histogram fits use the scaled form (A / x) *
 exp(-(ln x - mu)^2 / (2 sigma^2)) whose amplitude A absorbs the sample size
 and bin width, so raw bin counts can be fitted without normalizing them.
 Because best-fit parameters depend on the binning, confidence intervals come
-from refitting across many randomly drawn bin counts and reading percentiles
-off the resulting parameter distribution.
+from refitting at many randomly drawn bin counts (each distinct count once)
+and reading percentiles off the parameter distribution over the draws.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def _fit_gaussian(t: np.ndarray, y: np.ndarray, div: np.ndarray | float, p0: lis
         return np.column_stack((shape, amp * shape * z / sigma, amp * shape * z * z / sigma))
 
     def valid(p: np.ndarray) -> bool:
-        return bool(np.all(np.isfinite(p))) and p[0] > 0 and p[2] > 0
+        return bool(np.isfinite(p).all()) and p[0] > 0 and p[2] > 0
 
     return damped_least_squares(residual, jacobian, p0, valid=valid)
 
@@ -221,11 +221,13 @@ def ensemble_fit(
 
     Draws ``n_fits`` bin counts uniformly from {bins_lo, ..., bins_hi} with a
     generator seeded by ``seed``, histograms ``values`` over [lo, hi) at each
-    count, and fits the scaled model. Converged (mu, sigma) pairs feed the
+    count, and fits the scaled model. A fit depends only on its bin count, so
+    each distinct count is fitted once and its result stands for every draw
+    of that count. The converged (mu, sigma) pairs of all draws feed the
     2.5/50/97.5 percentiles (linear interpolation between order statistics);
-    failed fits are dropped and counted in ``n_failed``. All fits start from
-    the log-sample moments of ``values``. Identical inputs give bit-identical
-    results.
+    ``n_failed`` counts the draws whose fit failed, not the distinct counts.
+    All fits start from the log-sample moments of ``values``. Identical
+    inputs give bit-identical results.
     """
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
@@ -243,26 +245,22 @@ def ensemble_fit(
     rng = np.random.default_rng(seed)
     bin_draws = rng.integers(bins_lo, bins_hi, size=n_fits, endpoint=True)
 
-    mus: list[float] = []
-    sigmas: list[float] = []
-    n_failed = 0
-    for n_bins in bin_draws:
+    bin_counts, draw_of = np.unique(bin_draws, return_inverse=True)
+    per_count = np.full((bin_counts.size, 2), np.nan)
+    for k, n_bins in enumerate(bin_counts):
         try:
             fit = fit_histogram(build_histogram(arr, lo, hi, int(n_bins)), init=init)
         except ValueError:
-            n_failed += 1
             continue
-        if not fit.converged:
-            n_failed += 1
-            continue
-        mus.append(fit.params.mu)
-        sigmas.append(fit.params.sigma)
-
-    if not mus:
+        if fit.converged:
+            per_count[k] = fit.params.mu, fit.params.sigma
+    per_draw = per_count[draw_of]
+    per_draw = per_draw[~np.isnan(per_draw[:, 0])]
+    if not len(per_draw):
         raise EnsembleError(f"all {n_fits} ensemble fits failed")
 
-    mu_lo, mu_mid, mu_hi = np.percentile(mus, [2.5, 50.0, 97.5])
-    sg_lo, sg_mid, sg_hi = np.percentile(sigmas, [2.5, 50.0, 97.5])
+    mu_lo, mu_mid, mu_hi = np.percentile(per_draw[:, 0], [2.5, 50.0, 97.5])
+    sg_lo, sg_mid, sg_hi = np.percentile(per_draw[:, 1], [2.5, 50.0, 97.5])
     return FitEnsemble(
         mu_p2_5=float(mu_lo),
         mu_p50=float(mu_mid),
@@ -271,7 +269,7 @@ def ensemble_fit(
         sigma_p50=float(sg_mid),
         sigma_p97_5=float(sg_hi),
         n_fits=int(n_fits),
-        n_failed=int(n_failed),
+        n_failed=int(n_fits - len(per_draw)),
         seed=int(seed),
     )
 

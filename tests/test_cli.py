@@ -119,6 +119,7 @@ def test_malformed_header(tmp_path):
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    return err
 
 
 @pytest.mark.parametrize("flag", ["--input", "--budgets"])
@@ -129,14 +130,16 @@ def test_non_utf8_file_is_a_data_error(corpus_path, budget_path, tmp_path, flag,
     paths[flag] = bad
     args = ["ingest", "--input", str(paths["--input"]), "--budgets", str(paths["--budgets"])]
     assert cli.main([*args, "--out", str(tmp_path / "out")]) == 2
-    assert_one_line_error(capsys)
+    err = assert_one_line_error(capsys)
+    assert err.startswith(f"error: {bad}: ")
+    assert str(corpus_path if flag == "--budgets" else budget_path) not in err
 
 
 def test_oversized_csv_field_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "huge.csv"
     write_csv(path, list(CSV_COLUMNS), [["11/IA/2000", 2019, "article", "1.0", 1, "x" * 200_000, "W1"]])
     assert cli.main(["ingest", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert_one_line_error(capsys)
+    assert assert_one_line_error(capsys).startswith(f"error: {path}: line 2: field larger than field limit")
 
 
 # --- fit ---

@@ -135,6 +135,14 @@ def test_parse_empty_stream_fatal():
         corpus.parse_records(io.StringIO(""))
 
 
+def test_unreadable_csv_line_is_a_format_error_with_its_line():
+    text = HEADER + "12/IA/1570,2014,article,1.0,5,t,a1\n" + "12/IA/1570,2014,article,1.0,5," + "x" * 200_000 + ",a2\n"
+    with pytest.raises(CorpusFormatError, match="^line 3: field larger than field limit"):
+        corpus.parse_records(io.StringIO(text))
+    with pytest.raises(CorpusFormatError, match="^line 2: field larger than field limit"):
+        corpus.load_budgets(io.StringIO("award_code,budget_eur\n12/IA/1570," + "9" * 200_000 + "\n"))
+
+
 def test_parse_jsonl():
     text = (
         '{"award_code": "SFI/12/IA/1570", "year": 2014, "pub_type": "article", "fwci": 1.5, "source_id": "a"}\n'

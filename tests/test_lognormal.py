@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
+from fwcibench import lognormal
 from fwcibench.histogram import Histogram, build_histogram, log_transform
 from fwcibench.lognormal import (
     EnsembleError,
+    FitEnsemble,
     LognormalParams,
     derived_stats,
     ensemble_fit,
@@ -208,6 +210,30 @@ def test_normal_log_spike_masked_by_range(trunc_sampler):
     assert p_spiked.mu == pytest.approx(P_FIT.mu, abs=0.05)
 
 
+def test_lm_iterates_are_pinned_bit_for_bit(trunc_sampler, monkeypatch):
+    # float.hex of the fits' outputs and the solver's iteration counts, so a
+    # change to the LM loop that moves a single bit is caught
+    solves = []
+
+    def recording(*args, **kwargs):
+        solves.append(real(*args, **kwargs))
+        return solves[-1]
+
+    real = lognormal.damped_least_squares
+    monkeypatch.setattr(lognormal, "damped_least_squares", recording)
+    draws = trunc_sampler(3000, P_FIT.mu, P_FIT.sigma, seed=2024)
+
+    fit = fit_histogram(build_histogram(draws, 0.0, 8.0, 60))
+    got = [v.hex() for v in (fit.amplitude, fit.params.mu, fit.params.sigma, fit.residual_norm)]
+    assert got == ["0x1.669884f9001abp+7", "-0x1.bfd36dbd8a3a3p-4", "0x1.c7d749bb1330ep-1", "0x1.977ae460f3fe2p+5"]
+    assert (solves[-1].n_iter, fit.converged) == (9, True)
+
+    amp, p = fit_normal_log(build_histogram(np.log(draws), math.log(0.005), math.log(8.0), 40))
+    got = [v.hex() for v in (amp, p.mu, p.sigma, math.sqrt(solves[-1].cost))]
+    assert got == ["0x1.f0cff62ef8053p+7", "-0x1.cc1c45235252dp-4", "0x1.c6673db4fd9d0p-1", "0x1.a5aec094d4997p+5"]
+    assert (solves[-1].n_iter, solves[-1].converged) == (7, True)
+
+
 def test_normal_log_needs_enough_bins():
     h = build_histogram([0.1, 0.2], 0.0, 1.0, 4)
     with pytest.raises(ValueError):
@@ -215,6 +241,33 @@ def test_normal_log_needs_enough_bins():
 
 
 # --- ensemble_fit ---
+
+
+def per_draw_ensemble(values, lo, hi, bins_lo, bins_hi, n_fits, seed):
+    """One fit per drawn bin count, as the ensemble was first computed."""
+    values = np.asarray(values, dtype=float)
+    logs = np.log(values)
+    init = LognormalParams(mu=float(logs.mean()), sigma=max(float(logs.std()), 1e-3))
+    bin_draws = np.random.default_rng(seed).integers(bins_lo, bins_hi, size=n_fits, endpoint=True)
+    mus, sigmas = [], []
+    for n_bins in bin_draws:
+        try:
+            fit = fit_histogram(build_histogram(values, lo, hi, int(n_bins)), init=init)
+        except ValueError:
+            continue
+        if fit.converged:
+            mus.append(fit.params.mu)
+            sigmas.append(fit.params.sigma)
+    if not mus:
+        raise EnsembleError(f"all {n_fits} ensemble fits failed")
+    q = [2.5, 50.0, 97.5]
+    return FitEnsemble(
+        *(float(v) for v in np.percentile(mus, q)),
+        *(float(v) for v in np.percentile(sigmas, q)),
+        n_fits=n_fits,
+        n_failed=n_fits - len(mus),
+        seed=seed,
+    )
 
 
 def test_ensemble_single_fit_percentiles_collapse(trunc_sampler):
@@ -250,8 +303,29 @@ def test_ensemble_counts_failed_members():
 
 
 def test_ensemble_all_failed_raises():
-    with pytest.raises(EnsembleError):
-        ensemble_fit(np.full(50, 0.5), 0.0, 8.0, 20, 40, 10, seed=0)
+    args = (np.full(50, 0.5), 0.0, 8.0, 20, 40, 10)
+    for fit in (ensemble_fit, per_draw_ensemble):
+        with pytest.raises(EnsembleError, match="all 10 ensemble fits failed"):
+            fit(*args, seed=0)
+
+
+def test_ensemble_equals_per_draw_fits_with_repeated_counts(trunc_sampler):
+    draws = trunc_sampler(3000, P_FIT.mu, P_FIT.sigma, seed=12)
+    args = (draws, 0.0, 8.0, 20, 800, 200)
+    assert ensemble_fit(*args, seed=6) == per_draw_ensemble(*args, seed=6)
+    assert len(np.unique(np.random.default_rng(6).integers(20, 800, size=200, endpoint=True))) < 200
+
+
+def test_ensemble_counts_every_failed_draw():
+    # bin counts 2 and 3 always fail (too few bins) and are drawn repeatedly
+    rng = np.random.default_rng(2)
+    draws = np.exp(-0.1 + 0.9 * rng.standard_normal(400))
+    draws = draws[(draws > 0) & (draws < 8)]
+    ens = ensemble_fit(draws, 0.0, 8.0, 2, 30, 40, seed=5)
+    assert ens == per_draw_ensemble(draws, 0.0, 8.0, 2, 30, 40, seed=5)
+    bin_draws = np.random.default_rng(5).integers(2, 30, size=40, endpoint=True)
+    failing = bin_draws[bin_draws < 4]
+    assert (ens.n_failed, failing.size, len(np.unique(failing))) == (6, 6, 2)
 
 
 def test_ensemble_input_validation():
