@@ -7,8 +7,8 @@ seed produce byte-identical output files on every run.
 
 Exit codes: 0 success, 1 usage error (bad flags, unreadable path), 2 data
 error (malformed corpus, text that is not UTF-8, a CSV the csv module cannot
-read, nothing to process), 3 numerical failure (ensemble or fit breakdown,
-a simulated median that underflows).
+read, nothing to process, fewer than 4 distinct values to fit), 3 numerical
+failure (ensemble or fit breakdown, a simulated median that underflows).
 """
 
 from __future__ import annotations
@@ -283,6 +283,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise DataError(
             f"only {fit_values.size} values inside ({fit_lo!r}, {fit_hi!r}); too few to fit"
         )
+    n_distinct = np.unique(fit_values).size
+    if n_distinct < 4:
+        raise DataError(
+            f"only {n_distinct} distinct values inside ({fit_lo!r}, {fit_hi!r}); a fit needs 4 non-empty bins"
+        )
 
     ensemble = lognormal.ensemble_fit(
         fit_values, fit_lo, fit_hi, *args.bins, args.fits, args.seed
@@ -380,9 +385,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_benchmark(args: argparse.Namespace) -> int:
     data = _load_corpus(args)
     summaries = corpus.summarize_awards(data.eligible, data.budgets)
+    # One Monte Carlo run serves every award; an empty portfolio simulates nothing.
+    n_values = sorted({s.n_papers for s in summaries})
     baselines = [simulate.BaselineField(s) for s in args.sigma2]
+    points = simulate.median_curve(n_values, baselines, args.reps, args.seed) if n_values else []
+    simulated = {(p.sigma_sq, p.n): p.median_mean for p in points}
     benchmarks = [
-        simulate.benchmark_award(s, baselines, args.reps, args.seed) for s in summaries
+        simulate.benchmark_award(s, {sig: simulated[sig, s.n_papers] for sig in args.sigma2})
+        for s in summaries
     ]
 
     header = ["award_code", "n_papers", "observed_mean"]
@@ -440,7 +450,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     _write_csv(
         _out_path(args, "median_curve.csv"),
         ["sigma_sq", "n", "median_mean", "reps", "seed"],
-        [[_fmt(p.sigma_sq), p.n, _fmt(p.median_mean), p.reps, p.seed] for p in points],
+        [[_fmt(p.sigma_sq), p.n, _fmt(p.median_mean), args.reps, args.seed] for p in points],
     )
     report = [f"n_list = {','.join(str(n) for n in n_list)}", f"points = {len(points)}"]
     _write_report(args, "curve_report.txt", "median curve report", report)

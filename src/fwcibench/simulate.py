@@ -5,17 +5,19 @@ unit-mean lognormal baseline the median of such means sits well below 1 for
 small n and climbs toward 1 as n grows. This module simulates that median and
 benchmarks observed award means against it, per baseline spread.
 
-Every quantity is deterministic given (n, sigma_sq, reps, seed): each
-(n, sigma_sq) combination gets its own generator substream keyed by the
-values themselves, so adding or reordering baselines never perturbs results
-computed for other combinations.
+Every quantity is deterministic given (n, sigma_sq, reps, seed). The
+simulation uses common random numbers: each (seed, sigma_sq) has one
+generator stream, and every paper count reads its awards from the start of
+that stream, so the median for n depends only on the first n draws of each
+simulated award. Adding or reordering paper counts or baselines therefore
+never perturbs other results, and one sigma_sq's medians are correlated
+across n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,12 +26,6 @@ from .lognormal import LognormalParams
 
 VERDICT_ABOVE = "above_median"
 VERDICT_BELOW = "below_median"
-
-# Draws per chunk when a single request would not fit comfortably in memory.
-# Chunking is invisible: consecutive standard_normal calls on one generator
-# consume the underlying bit stream exactly as a single combined call would.
-_CHUNK_VALUES = 8_000_000
-
 
 @dataclass(frozen=True)
 class BaselineField:
@@ -61,8 +57,6 @@ class MedianCurvePoint:
     n: int
     sigma_sq: float
     median_mean: float
-    reps: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -102,18 +96,6 @@ class SigmaAggregate:
         return self.n_above / self.n_total
 
 
-def _stream(seed: int, n: int, sigma_sq: float) -> np.random.Generator:
-    """Generator substream for one (seed, n, sigma_sq) combination.
-
-    sigma_sq enters through its float64 bit pattern, so any two distinct
-    spreads get distinct streams without an index convention to keep stable.
-    """
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    key = int(np.float64(sigma_sq).view(np.uint64))
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(n), key]))
-
-
 def sample_lognormal(params: LognormalParams, n: int, stream: np.random.Generator) -> np.ndarray:
     """Draw n values e^(mu + sigma Z), advancing the stream deterministically."""
     if n < 1:
@@ -122,92 +104,82 @@ def sample_lognormal(params: LognormalParams, n: int, stream: np.random.Generato
     return np.exp(params.mu + params.sigma * z)
 
 
-@lru_cache(maxsize=None)
-def _median_mean(n: int, sigma_sq: float, reps: int, seed: int) -> float:
-    """Median over reps simulated awards of the mean of n baseline draws.
+def medians(n_values, sigma_sq: float, reps: int, seed: int) -> dict[int, float]:
+    """Median over reps simulated awards of the mean of n baseline draws, for each n.
 
-    Cache-safe because the result is a pure function of the key: the stream
-    is derived from (seed, n, sigma_sq) alone. Draws are chunked to bound
-    memory; the chunk size does not affect the values (see _CHUNK_VALUES).
+    One generator stream per (seed, sigma_sq), with sigma_sq entering through
+    its float64 bit pattern. Paper j is drawn for all reps at once and added
+    to a running sum, so the n-paper award means are the first n draws of
+    each rep: a result for n depends only on the first n * reps values of
+    the stream, and adding paper counts or baselines never moves another
+    result. Because every n reads the same draws, one sigma_sq's medians are
+    correlated across n. Memory is two reps-long arrays; time grows with
+    reps * max(n_values).
     """
-    rng = _stream(seed, n, sigma_sq)
-    mu = -0.5 * sigma_sq
-    sigma = math.sqrt(sigma_sq)
-    means = np.empty(reps, dtype=np.float64)
-    block = max(_CHUNK_VALUES // n, 1)
-    done = 0
-    while done < reps:
-        m = min(block, reps - done)
-        z = rng.standard_normal(m * n)
-        means[done : done + m] = np.exp(mu + sigma * z).reshape(m, n).mean(axis=1)
-        done += m
-    # np.median averages the two central order statistics when reps is even.
-    median = float(np.median(means))
-    if not median > 0:
-        raise ValueError(f"simulated median of means underflows to {median!r} at sigma2 = {sigma_sq!r}, n = {n}")
-    return median
+    wanted = sorted({int(n) for n in n_values})
+    if not wanted:
+        raise ValueError("n_values must be non-empty")
+    if wanted[0] < 1:
+        raise ValueError(f"need n >= 1, got {wanted[0]}")
+    if reps < 1:
+        raise ValueError(f"need reps >= 1, got {reps}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    params = BaselineField(sigma_sq).params
+    key = int(np.float64(sigma_sq).view(np.uint64))
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), key]))
+    total = np.zeros(reps)
+    draw = np.empty(reps)
+    out: dict[int, float] = {}
+    drawn = 0
+    for n in wanted:
+        for _ in range(n - drawn):
+            # in place: sample_lognormal's fresh arrays per paper cost ~60% more time
+            rng.standard_normal(out=draw)
+            draw *= params.sigma
+            draw += params.mu
+            np.exp(draw, out=draw)
+            total += draw
+        drawn = n
+        # np.median averages the two central order statistics when reps is even.
+        median = float(np.median(total)) / n
+        if not median > 0:
+            raise ValueError(f"simulated median of means underflows to {median!r} at sigma2 = {sigma_sq!r}, n = {n}")
+        out[n] = median
+    return out
 
 
 def median_of_means(n: int, baseline: BaselineField, reps: int, seed: int) -> MedianCurvePoint:
-    """Simulate reps awards of n papers each and return the median award mean.
-
-    Each award's mean is the arithmetic mean of n independent draws from the
-    baseline. Deterministic per (n, sigma_sq, reps, seed); repeated calls are
-    served from a cache.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if reps < 1:
-        raise ValueError(f"need reps >= 1, got {reps}")
-    value = _median_mean(int(n), float(baseline.sigma_sq), int(reps), int(seed))
-    return MedianCurvePoint(
-        n=int(n),
-        sigma_sq=baseline.sigma_sq,
-        median_mean=value,
-        reps=int(reps),
-        seed=int(seed),
-    )
+    """The median award mean over reps simulated awards of n papers each (see medians)."""
+    value = medians([n], baseline.sigma_sq, reps, seed)[n]
+    return MedianCurvePoint(n=int(n), sigma_sq=baseline.sigma_sq, median_mean=value)
 
 
-def median_curve(
-    n_values,
-    baselines,
-    reps: int,
-    seed: int,
-) -> list[MedianCurvePoint]:
+def median_curve(n_values, baselines, reps: int, seed: int) -> list[MedianCurvePoint]:
     """One MedianCurvePoint per (baseline, n) combination, grouped by baseline."""
-    n_list = list(n_values)
+    n_list = [int(n) for n in n_values]
     base_list = list(baselines)
-    if not n_list:
-        raise ValueError("n_values must be non-empty")
     if not base_list:
         raise ValueError("baselines must be non-empty")
-    return [median_of_means(n, b, reps, seed) for b in base_list for n in n_list]
+    points = []
+    for b in base_list:
+        values = medians(n_list, b.sigma_sq, reps, seed)
+        points += [MedianCurvePoint(n=n, sigma_sq=b.sigma_sq, median_mean=values[n]) for n in n_list]
+    return points
 
 
-def benchmark_award(
-    summary: AwardSummary,
-    baselines,
-    reps: int,
-    seed: int,
-) -> AwardBenchmark:
-    """Compare one award's observed mean against the simulated medians for its n.
+def benchmark_award(summary: AwardSummary, thresholds: dict[float, float]) -> AwardBenchmark:
+    """Compare one award's observed mean against its simulated medians.
 
-    Verdict is above_median iff observed_mean >= threshold; the tie rule is
-    fixed so reruns can never disagree.
+    thresholds maps sigma_sq to the simulated median of means at this award's
+    paper count. Verdict is above_median iff observed_mean >= threshold; the
+    tie rule is fixed so reruns can never disagree.
     """
     if summary.n_papers < 1:
         raise ValueError(f"award {summary.award_code!r} has no papers to benchmark")
     if summary.mean_fwci is None:
         raise ValueError(f"award {summary.award_code!r} has no mean impact value")
-    thresholds: dict[float, float] = {}
-    verdicts: dict[float, str] = {}
-    for baseline in baselines:
-        threshold = _median_mean(int(summary.n_papers), float(baseline.sigma_sq), int(reps), int(seed))
-        thresholds[baseline.sigma_sq] = threshold
-        verdicts[baseline.sigma_sq] = (
-            VERDICT_ABOVE if summary.mean_fwci >= threshold else VERDICT_BELOW
-        )
+    verdicts = {s: VERDICT_ABOVE if summary.mean_fwci >= t else VERDICT_BELOW for s, t in thresholds.items()}
     return AwardBenchmark(
         award_code=summary.award_code,
         n_papers=summary.n_papers,

@@ -37,6 +37,7 @@ from fwcibench.simulate import (
     aggregate_benchmarks,
     benchmark_award,
     median_of_means,
+    medians,
     sample_lognormal,
 )
 
@@ -222,7 +223,8 @@ def test_c09_null_portfolio_calibration():
                 mean_fwci=float(draws.mean()),
             )
         )
-    benchmarks = [benchmark_award(s, [baseline], 20_000, 7) for s in summaries]
+    thresholds = medians(sorted({s.n_papers for s in summaries}), baseline.sigma_sq, 20_000, 7)
+    benchmarks = [benchmark_award(s, {baseline.sigma_sq: thresholds[s.n_papers]}) for s in summaries]
     (agg,) = aggregate_benchmarks(benchmarks)
     fraction = agg.fraction_above
     # two binomial standard deviations at 148 trials is 2*sqrt(.25/148) = 0.082

@@ -198,6 +198,22 @@ def test_fit_needs_enough_values(tmp_path):
     assert cli.main(["fit", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("values", [[1.0], [0.5, 1.0, 2.0]], ids=["one-value", "three-values"])
+def test_fit_on_fewer_than_four_distinct_values_is_a_data_error(values, tmp_path, capsys):
+    # no bin count can give a histogram fit the 4 non-empty bins it needs
+    path = tmp_path / "flat.csv"
+    rows = [
+        [f"11/IA/{2000 + i}", 2019, "article", repr(values[i % len(values)]), 1, f"t{i}", f"W{i}"]
+        for i in range(30)
+    ]
+    write_csv(path, list(CSV_COLUMNS), rows)
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(path), "--out", str(out), "--fits", "200"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "distinct values" in err and err.count("\n") == 1
+    assert not (out / "fit_report.txt").exists()
+
+
 def test_fit_on_empty_corpus(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["fit", "--input", str(header_only_csv(tmp_path)), "--out", str(out)]) == 2

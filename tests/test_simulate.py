@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fwcibench import simulate
 from fwcibench.corpus import AwardSummary
 from fwcibench.lognormal import LognormalParams, derived_stats
 from fwcibench.simulate import (
@@ -16,6 +15,7 @@ from fwcibench.simulate import (
     benchmark_award,
     median_curve,
     median_of_means,
+    medians,
     sample_lognormal,
 )
 
@@ -26,6 +26,11 @@ SIGMAS = (1.0, 1.3, 1.8)
 
 def summary(code="12/IA/1234", n=1, mean=1.0):
     return AwardSummary(award_code=code, n_papers=n, mean_fwci=mean)
+
+
+def thresholds_at(n, sigmas, reps, seed):
+    """The sigma_sq -> simulated median map that benchmark_award takes, for n papers."""
+    return {s: medians([n], s, reps, seed)[n] for s in sigmas}
 
 
 # --- BaselineField ---
@@ -116,14 +121,27 @@ def test_median_of_means_monotone_in_n():
     assert values[-1] > values[0]
 
 
-def test_chunked_draws_match_unchunked(monkeypatch):
-    simulate._median_mean.cache_clear()
-    whole = simulate._median_mean(7, 1.3, 5000, 9)
-    simulate._median_mean.cache_clear()
-    monkeypatch.setattr(simulate, "_CHUNK_VALUES", 1234)
-    chunked = simulate._median_mean(7, 1.3, 5000, 9)
-    simulate._median_mean.cache_clear()
-    assert whole == chunked
+def test_medians_depend_only_on_their_prefix_of_the_stream():
+    assert medians([5], 1.3, 2000, 3)[5] == medians([1, 5, 400], 1.3, 2000, 3)[5]
+    assert medians([400, 1, 5], 1.3, 2000, 3) == medians([1, 5, 400], 1.3, 2000, 3)
+
+
+def test_medians_stream_layout_is_pinned():
+    # Recorded when the common-random-numbers layout was introduced: one stream
+    # per (seed, sigma_sq), paper j drawn for all reps at once.
+    got = {n: v.hex() for n, v in medians([1, 7, 46], 1.3, 5000, 9).items()}
+    assert got == {1: "0x1.0282aa4eb58f6p-1", 7: "0x1.b262ab521e239p-1", 46: "0x1.ef2a3d2f60b53p-1"}
+
+
+def test_medians_equal_median_of_direct_means():
+    # the running sum reproduces the means of each rep's first n draws
+    reps, seed, sigma_sq = 501, 4, 1.3
+    params = BaselineField(sigma_sq).params
+    rng = np.random.default_rng(np.random.SeedSequence([seed, int(np.float64(sigma_sq).view(np.uint64))]))
+    draws = np.exp(params.mu + params.sigma * rng.standard_normal((6, reps)))
+    got = medians([2, 6], sigma_sq, reps, seed)
+    for n in (2, 6):
+        assert got[n] == pytest.approx(float(np.median(draws[:n].mean(axis=0))), rel=1e-14)
 
 
 def test_median_that_underflows_is_an_error():
@@ -159,6 +177,13 @@ def test_curve_single_draw_points():
         assert p.median_mean == pytest.approx(math.exp(-p.sigma_sq / 2), abs=0.005)
 
 
+def test_curve_independent_of_baseline_order():
+    forward = median_curve([1, 46], [BaselineField(s) for s in SIGMAS], 2000, 3)
+    backward = median_curve([1, 46], [BaselineField(s) for s in reversed(SIGMAS)], 2000, 3)
+    assert len(forward) == len(backward) == 6
+    assert set(forward) == set(backward)
+
+
 def test_curve_validation():
     with pytest.raises(ValueError):
         median_curve([], [BaselineField(1.0)], 10, 1)
@@ -170,43 +195,39 @@ def test_curve_validation():
 
 
 def test_benchmark_single_paper_above():
-    bench = benchmark_award(summary(n=1, mean=0.60), [BaselineField(1.3)], REPS, SEED)
+    bench = benchmark_award(summary(n=1, mean=0.60), thresholds_at(1, [1.3], REPS, SEED))
     assert bench.verdicts[1.3] == VERDICT_ABOVE
     assert bench.thresholds[1.3] == pytest.approx(0.522, abs=0.005)
 
 
 def test_benchmark_mean_of_one_or_more_always_above():
-    baselines = [BaselineField(s) for s in SIGMAS]
-    bench = benchmark_award(summary(n=4, mean=1.0), baselines, 20_000, SEED)
+    bench = benchmark_award(summary(n=4, mean=1.0), thresholds_at(4, SIGMAS, 20_000, SEED))
     assert all(v == VERDICT_ABOVE for v in bench.verdicts.values())
     assert all(t < 1.0 for t in bench.thresholds.values())
 
 
 def test_benchmark_zero_mean_always_below():
-    baselines = [BaselineField(s) for s in SIGMAS]
-    bench = benchmark_award(summary(n=4, mean=0.0), baselines, 20_000, SEED)
+    bench = benchmark_award(summary(n=4, mean=0.0), thresholds_at(4, SIGMAS, 20_000, SEED))
     assert all(v == VERDICT_BELOW for v in bench.verdicts.values())
 
 
 def test_benchmark_tie_counts_as_above():
     threshold = median_of_means(3, BaselineField(1.3), 2000, 7).median_mean
-    bench = benchmark_award(summary(n=3, mean=threshold), [BaselineField(1.3)], 2000, 7)
+    bench = benchmark_award(summary(n=3, mean=threshold), thresholds_at(3, [1.3], 2000, 7))
     assert bench.verdicts[1.3] == VERDICT_ABOVE
 
 
 def test_benchmark_split_verdict_example():
     # thresholds at n=1 are about 0.607 / 0.522 / 0.407
-    baselines = [BaselineField(s) for s in SIGMAS]
-    bench = benchmark_award(summary(n=1, mean=0.55), baselines, REPS, SEED)
+    bench = benchmark_award(summary(n=1, mean=0.55), thresholds_at(1, SIGMAS, REPS, SEED))
     assert bench.verdicts[1.0] == VERDICT_BELOW
     assert bench.verdicts[1.3] == VERDICT_ABOVE
     assert bench.verdicts[1.8] == VERDICT_ABOVE
 
 
 def test_benchmark_thresholds_decrease_in_sigma_sq():
-    baselines = [BaselineField(s) for s in SIGMAS]
     for n in (1, 5, 30):
-        bench = benchmark_award(summary(n=n, mean=1.0), baselines, 20_000, SEED)
+        bench = benchmark_award(summary(n=n, mean=1.0), thresholds_at(n, SIGMAS, 20_000, SEED))
         t = [bench.thresholds[s] for s in SIGMAS]
         assert t[0] > t[1] - 0.005 and t[1] > t[2] - 0.005
 
@@ -214,18 +235,17 @@ def test_benchmark_thresholds_decrease_in_sigma_sq():
 def test_benchmark_verdict_monotone_in_sigma_sq():
     # given decreasing thresholds, above at one spread implies above at any
     # larger spread
-    baselines = [BaselineField(s) for s in SIGMAS]
     for mean in (0.3, 0.45, 0.55, 0.7, 0.95, 1.2):
-        bench = benchmark_award(summary(n=2, mean=mean), baselines, 20_000, SEED)
+        bench = benchmark_award(summary(n=2, mean=mean), thresholds_at(2, SIGMAS, 20_000, SEED))
         flags = [bench.verdicts[s] == VERDICT_ABOVE for s in SIGMAS]
         assert flags == sorted(flags)
 
 
 def test_benchmark_requires_papers_and_mean():
     with pytest.raises(ValueError):
-        benchmark_award(AwardSummary(award_code="12/IA/1234", n_papers=0), [BaselineField(1.0)], 10, 1)
+        benchmark_award(AwardSummary(award_code="12/IA/1234", n_papers=0), thresholds_at(1, [1.0], 10, 1))
     with pytest.raises(ValueError):
-        benchmark_award(AwardSummary(award_code="12/IA/1234", n_papers=3, mean_fwci=None), [BaselineField(1.0)], 10, 1)
+        benchmark_award(AwardSummary(award_code="12/IA/1234", n_papers=3, mean_fwci=None), thresholds_at(3, [1.0], 10, 1))
 
 
 # --- aggregate_benchmarks ---
