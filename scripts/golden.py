@@ -7,7 +7,9 @@ their input and output paths) and diff what the two runs print:
     python3 scripts/golden.py OUT_DIR
 
 The portfolio is ``perfbench/generate.py``'s at a fixed seed. The run covers
-``ingest`` with budgets, ``fit`` at the default flags, ``fit`` with
+``ingest`` with budgets, ``ingest`` with budgets on the same seed's portfolio
+scaled 60x (~190k rows, enough repeated codes, rejections and duplicates to
+exercise the parser at volume), ``fit`` at the default flags, ``fit`` with
 non-default ``--low-cut``, ``--range`` and ``--bins``, ``fit`` with no low
 cut, ``benchmark`` and ``curve``, each in its own subdirectory of OUT_DIR,
 with small ensembles and Monte Carlo sizes so the whole run takes seconds.
@@ -31,10 +33,17 @@ SEED = 20240
 SMALL = ("--fits", "300", "--reps", "4000")
 
 
-def runs(input_dir: str) -> dict[str, list[str]]:
+def runs(input_dir: str, input_60x_dir: str) -> dict[str, list[str]]:
     pubs = ["--input", os.path.join(input_dir, "pubs.csv")]
     return {
         "ingest": ["ingest", *pubs, "--budgets", os.path.join(input_dir, "budgets.csv")],
+        "ingest-60x": [
+            "ingest",
+            "--input",
+            os.path.join(input_60x_dir, "pubs.csv"),
+            "--budgets",
+            os.path.join(input_60x_dir, "budgets.csv"),
+        ],
         "fit": ["fit", *pubs, *SMALL],
         "fit-window": ["fit", *pubs, *SMALL, "--low-cut", "0.2", "--range", "0.15:6", "--bins", "30:300", "--seed", "7"],
         "fit-no-cut": ["fit", *pubs, *SMALL, "--low-cut", "0"],
@@ -49,9 +58,11 @@ def main(argv: list[str]) -> int:
         return 1
     out_dir = argv[0]
     input_dir = os.path.join(out_dir, "input")
+    input_60x_dir = os.path.join(out_dir, "input-60x")
     generate.generate(SEED, 1, input_dir)
+    generate.generate(SEED, 60, input_60x_dir)
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    for name, cli_args in runs(input_dir).items():
+    for name, cli_args in runs(input_dir, input_60x_dir).items():
         run_dir = os.path.join(out_dir, name)
         shutil.rmtree(run_dir, ignore_errors=True)  # a file the command no longer writes must not linger
         os.makedirs(run_dir)

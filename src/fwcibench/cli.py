@@ -7,8 +7,9 @@ seed produce byte-identical output files on every run.
 
 Exit codes: 0 success, 1 usage error (bad flags, unreadable path), 2 data
 error (malformed corpus, text that is not UTF-8, a CSV the csv module cannot
-read, nothing to process, fewer than 4 distinct values to fit), 3 numerical
-failure (ensemble or fit breakdown, a simulated median that underflows).
+read, nothing to process, fewer than 4 distinct values to fit, budgets whose
+sum overflows), 3 numerical failure (ensemble or fit breakdown, a simulated
+median that underflows).
 """
 
 from __future__ import annotations
@@ -221,6 +222,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     summaries = corpus.summarize_awards(data.eligible, data.budgets)
     totals = corpus.portfolio_totals(summaries)
+    if totals.total_budget is not None and not math.isfinite(totals.total_budget):
+        raise DataError(f"{args.budgets}: the budgets sum past the largest float; no cost per paper")
     low, main = corpus.split_low_fwci(data.eligible, args.low_cut)
 
     with open(_out_path(args, "eligible_records.csv"), "w", encoding="utf-8", newline="") as fh:

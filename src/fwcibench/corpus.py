@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 PUBLICATION_TYPES = frozenset(
     {
@@ -28,6 +30,8 @@ DEFAULT_INCLUDED_TYPES = frozenset({"article", "conference_paper", "letter", "no
 CSV_COLUMNS = ("award_code", "year", "pub_type", "fwci", "citations", "title", "source_id")
 
 _CANONICAL_CODE = re.compile(r"^\d{2}/IA/\d{4}$")
+# What a JSON "\ud800"-style escape decodes to when no partner completes the pair.
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class AwardCodeError(ValueError):
@@ -63,7 +67,7 @@ def normalize_award_code(raw: str) -> str:
     return code
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicationRecord:
     """One publication attributed to an award, with its precomputed FWCI if any."""
 
@@ -108,81 +112,103 @@ class PortfolioTotals:
     cost_per_paper: float | None
 
 
-def _parse_pub_type(value: object) -> str:
-    text = str(value).strip().lower().replace(" ", "_").replace("-", "_")
-    if not text:
-        return "other"
+def _text(cell: object) -> str:
+    """A cell's text with surrounding blanks stripped; an absent cell (JSON null) reads as empty."""
+    return "" if cell is None else str(cell).strip()
+
+
+def _parse_pub_type(cell: object) -> str:
+    text = _text(cell).lower().replace(" ", "_").replace("-", "_")
     return text if text in PUBLICATION_TYPES else "other"
 
 
-def _is_absent(value: object) -> bool:
-    if value is None:
-        return True
-    return isinstance(value, str) and value.strip() == ""
-
-
-def _record_from_fields(fields: Mapping[str, object], row: int, raw: str) -> PublicationRecord | RowRejection:
-    code_raw = fields.get("award_code")
-    if _is_absent(code_raw):
-        return RowRejection(row, "missing award_code", raw)
+def _parse_award_code(cell: object) -> tuple[str, str]:
+    """``(canonical code, "")``, or ``("", reason)`` when the row must be rejected."""
+    text = _text(cell)
+    if not text:
+        return "", "missing award_code"
     try:
-        code = normalize_award_code(str(code_raw))
+        return normalize_award_code(text), ""
     except AwardCodeError as exc:
-        return RowRejection(row, f"award code {exc.reason}", raw)
+        return "", f"award code {exc.reason}"
 
-    year_raw = fields.get("year")
-    if _is_absent(year_raw):
-        return RowRejection(row, "missing year", raw)
+
+def _parse_year(cell: object) -> tuple[int, str]:
+    """``(year, "")``, or ``(0, reason)`` when the row must be rejected."""
+    text = _text(cell)
+    if not text:
+        return 0, "missing year"
     try:
-        year = int(str(year_raw).strip())
+        return int(text), ""
     except ValueError:
-        return RowRejection(row, f"year {year_raw!r} is not an integer", raw)
+        return 0, f"year {cell!r} is not an integer"
 
-    pub_type = _parse_pub_type(fields.get("pub_type", ""))
+
+def _record_from_fields(
+    fields: Sequence[object], codes: Callable, years: Callable, pub_types: Callable
+) -> PublicationRecord | str:
+    """The record in one row's ``CSV_COLUMNS`` cells, or the reason to reject the row.
+
+    CSV cells are always ``str``; JSONL cells may be any JSON value, which
+    is read through its ``str`` form but quoted as itself in a reason.
+    ``codes``, ``years`` and ``pub_types`` are the memoised parsers of their
+    columns. They take only ``str`` cells: JSON's ``1``, ``1.0`` and ``True``
+    are one key but three texts, and lists are not hashable.
+    """
+    code_cell, year_cell, type_cell, fwci_cell, cit_cell, title_cell, source_cell = fields
+    code, reason = codes(code_cell) if type(code_cell) is str else _parse_award_code(code_cell)
+    if reason:
+        return reason
+    year, reason = years(year_cell) if type(year_cell) is str else _parse_year(year_cell)
+    if reason:
+        return reason
 
     fwci: float | None = None
-    fwci_raw = fields.get("fwci")
-    if not _is_absent(fwci_raw):
+    text = fwci_cell.strip() if type(fwci_cell) is str else _text(fwci_cell)
+    if text:
         try:
-            fwci = float(str(fwci_raw).strip())
+            fwci = float(text)
         except ValueError:
-            return RowRejection(row, f"fwci {fwci_raw!r} is not a number", raw)
+            return f"fwci {fwci_cell!r} is not a number"
         if not math.isfinite(fwci):
-            return RowRejection(row, "fwci is not finite", raw)
+            return "fwci is not finite"
         if fwci < 0:
-            return RowRejection(row, "negative fwci", raw)
+            return "negative fwci"
 
     citations: int | None = None
-    cit_raw = fields.get("citations")
-    if not _is_absent(cit_raw):
+    text = cit_cell.strip() if type(cit_cell) is str else _text(cit_cell)
+    if text:
         try:
-            citations = int(str(cit_raw).strip())
+            citations = int(text)
         except ValueError:
-            return RowRejection(row, f"citations {cit_raw!r} is not an integer", raw)
+            return f"citations {cit_cell!r} is not an integer"
         if citations < 0:
-            return RowRejection(row, "negative citation count", raw)
+            return "negative citation count"
 
-    title = "" if _is_absent(fields.get("title")) else str(fields.get("title"))
-    source_id = "" if _is_absent(fields.get("source_id")) else str(fields.get("source_id")).strip()
-
+    if type(title_cell) is not str:
+        title_cell = "" if title_cell is None else str(title_cell)
+    # Positional, in field order: keyword arguments add about 1 us to every record.
     return PublicationRecord(
-        award_code=code,
-        year=year,
-        pub_type=pub_type,
-        fwci=fwci,
-        citations=citations,
-        title=title,
-        source_id=source_id,
+        code,
+        year,
+        pub_types(type_cell) if type(type_cell) is str else _parse_pub_type(type_cell),
+        fwci,
+        citations,
+        title_cell if title_cell.strip() else "",
+        source_cell.strip() if type(source_cell) is str else _text(source_cell),
     )
 
 
-def _csv_rows(stream: TextIO, required: tuple[str, ...], what: str) -> Iterator[tuple[int, dict[str, str], str]]:
-    """Yield ``(line_num, {column: cell}, raw)`` for each non-blank data row of a CSV table.
+def _csv_rows(
+    stream: TextIO, required: tuple[str, ...], what: str
+) -> Iterator[tuple[int, tuple[str, ...], list[str]]]:
+    """Yield ``(line_num, cells of required, all cells)`` for each non-blank data row of a CSV table.
 
     The header must name every column in ``required`` (case and surrounding
-    blanks ignored); other columns are ignored. A row shorter than the
-    header reads its missing cells as empty. A line the ``csv`` module cannot
-    read raises :class:`CorpusFormatError` with its line number.
+    blanks ignored; at least two, so the cells come as a tuple); other
+    columns are ignored. A row shorter than the header reads its missing
+    cells as empty. A line the ``csv`` module cannot read raises
+    :class:`CorpusFormatError` with its line number.
     """
     reader = csv.reader(stream)
     try:
@@ -193,21 +219,24 @@ def _csv_rows(stream: TextIO, required: tuple[str, ...], what: str) -> Iterator[
         missing = [c for c in required if c not in cols]
         if missing:
             raise CorpusFormatError(f"{what} header is missing columns: {', '.join(missing)}")
-        index = {name: cols.index(name) for name in required}
+        index = [cols.index(name) for name in required]
+        pick = operator.itemgetter(*index)
+        width = max(index) + 1
         for cells in reader:
-            if not cells or all(c.strip() == "" for c in cells):
+            if not any(map(str.strip, cells)):
                 continue
-            fields = {name: (cells[i] if i < len(cells) else "") for name, i in index.items()}
-            yield reader.line_num, fields, ",".join(cells)
+            yield reader.line_num, pick(cells if len(cells) >= width else cells + [""] * width), cells
     except csv.Error as exc:
         raise CorpusFormatError(f"line {reader.line_num}: {exc}") from exc
 
 
-def _jsonl_rows(stream: TextIO) -> Iterator[tuple[int, Mapping[str, object] | str, str]]:
-    """Yield ``(line_num, fields, raw)`` for each non-blank line of a JSONL stream.
+def _jsonl_rows(stream: TextIO) -> Iterator[tuple[int, tuple[object, ...] | str, list[str]]]:
+    """Yield ``(line_num, fields, [line])`` for each non-blank line of a JSONL stream.
 
-    ``fields`` is the line's JSON object, or the reason for rejecting a line
-    that is not one.
+    ``fields`` holds the line's values for ``CSV_COLUMNS`` (``None`` where a
+    key is missing), or is the reason for rejecting the line: it is not a
+    JSON object, cannot be decoded (bad syntax, nesting too deep, an integer
+    too long), or holds a ``\\udXXX`` escape that no output file can encode.
     """
     for lineno, line in enumerate(stream, start=1):
         raw = line.rstrip("\n")
@@ -216,9 +245,16 @@ def _jsonl_rows(stream: TextIO) -> Iterator[tuple[int, Mapping[str, object] | st
         try:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
-            yield lineno, f"not valid JSON: {exc.msg}", raw
-            continue
-        yield lineno, (obj if isinstance(obj, dict) else "line is not a JSON object"), raw
+            fields = f"not valid JSON: {exc.msg}"
+        except RecursionError:
+            fields = "not valid JSON: nested too deeply"
+        except ValueError:  # an integer past the interpreter's digit limit
+            fields = "not valid JSON: a number has too many digits"
+        else:
+            fields = tuple(map(obj.get, CSV_COLUMNS)) if isinstance(obj, dict) else "line is not a JSON object"
+        if isinstance(fields, tuple) and any(type(v) is str and _LONE_SURROGATE.search(v) for v in fields):
+            fields = "a string holds an unpaired surrogate, which is not Unicode text"
+        yield lineno, fields, [raw]
 
 
 def parse_records(stream: TextIO, fmt: str = "csv") -> tuple[list[PublicationRecord], list[RowRejection]]:
@@ -235,15 +271,14 @@ def parse_records(stream: TextIO, fmt: str = "csv") -> tuple[list[PublicationRec
         rows = _jsonl_rows(stream)
     else:
         raise ValueError(f"unknown record format {fmt!r} (expected 'csv' or 'jsonl')")
+    # Award codes, years and publication types repeat from row to row: parse each distinct cell once.
+    codes, years, pub_types = map(functools.cache, (_parse_award_code, _parse_year, _parse_pub_type))
     records: list[PublicationRecord] = []
     rejections: list[RowRejection] = []
-    for line_num, fields, raw in rows:
-        if isinstance(fields, str):
-            rejections.append(RowRejection(line_num, fields, raw))
-            continue
-        out = _record_from_fields(fields, line_num, raw)
-        if isinstance(out, RowRejection):
-            rejections.append(out)
+    for line_num, fields, cells in rows:
+        out = fields if isinstance(fields, str) else _record_from_fields(fields, codes, years, pub_types)
+        if isinstance(out, str):
+            rejections.append(RowRejection(line_num, out, ",".join(cells)))
         else:
             records.append(out)
     return records, rejections
@@ -367,19 +402,20 @@ def load_budgets(stream: TextIO) -> tuple[dict[str, float], list[RowRejection]]:
     """Read a two-column budget file (award_code, budget_eur) keyed by normalized code."""
     budgets: dict[str, float] = {}
     rejections: list[RowRejection] = []
-    for line_num, fields, raw in _csv_rows(stream, ("award_code", "budget_eur"), "budget"):
+    for line_num, (code_cell, amount_cell), cells in _csv_rows(stream, ("award_code", "budget_eur"), "budget"):
         try:
-            code = normalize_award_code(fields["award_code"])
+            code = normalize_award_code(code_cell)
         except AwardCodeError as exc:
-            rejections.append(RowRejection(line_num, f"award code {exc.reason}", raw))
+            rejections.append(RowRejection(line_num, f"award code {exc.reason}", ",".join(cells)))
             continue
         try:
-            amount = float(fields["budget_eur"])
+            amount = float(amount_cell)
         except ValueError:
-            rejections.append(RowRejection(line_num, "budget_eur is not a number", raw))
+            rejections.append(RowRejection(line_num, "budget_eur is not a number", ",".join(cells)))
             continue
         if not math.isfinite(amount) or amount < 0:
-            rejections.append(RowRejection(line_num, "budget_eur must be a finite non-negative amount", raw))
+            reason = "budget_eur must be a finite non-negative amount"
+            rejections.append(RowRejection(line_num, reason, ",".join(cells)))
             continue
         budgets[code] = amount
     return budgets, rejections

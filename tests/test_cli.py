@@ -1,7 +1,12 @@
+import contextlib
 import csv
+import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fwcibench import cli
 from fwcibench.corpus import CSV_COLUMNS
@@ -140,6 +145,127 @@ def test_oversized_csv_field_is_a_data_error(tmp_path, capsys):
     write_csv(path, list(CSV_COLUMNS), [["11/IA/2000", 2019, "article", "1.0", 1, "x" * 200_000, "W1"]])
     assert cli.main(["ingest", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
     assert assert_one_line_error(capsys).startswith(f"error: {path}: line 2: field larger than field limit")
+
+
+def test_ingest_rejects_a_deeply_nested_jsonl_line(tmp_path, capsys):
+    deep = '{"award_code": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    good = '{"award_code": "12/IA/1570", "year": 2014, "pub_type": "article", "fwci": 1.5}'
+    path = tmp_path / "deep.jsonl"
+    path.write_text(deep + "\n" + good + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["ingest", "--input", str(path), "--out", str(out)]) == 0
+    assert "1 awards, 1 publications" in capsys.readouterr().out
+    rejections = (out / "rejections.txt").read_text(encoding="utf-8").splitlines()
+    assert rejections == [f"row 1: not valid JSON: nested too deeply | {deep}"]
+
+
+def test_budgets_summing_past_the_largest_float_are_a_data_error(corpus_path, tmp_path, capsys):
+    budgets = tmp_path / "budgets.csv"
+    write_csv(budgets, ["award_code", "budget_eur"], [["11/IA/2000", "1e308"], ["12/IA/2001", "1e308"]])
+    args = ["ingest", "--input", str(corpus_path), "--budgets", str(budgets), "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 2
+    assert assert_one_line_error(capsys).startswith(f"error: {budgets}: the budgets sum past the largest float")
+
+
+# Pieces of corrupted record and budget files: rows that parse, short rows,
+# non-finite and out-of-range numbers, fields past the csv module's limit,
+# bytes that are not UTF-8, broken quoting, and (JSONL) nesting, integers and
+# escapes that json cannot turn into a record.
+_CSV_PIECES = [
+    b"award_code,year,pub_type,fwci,citations,title,source_id",
+    b"12/IA/1570,2014,article,1.2,3,t,W1",
+    b"12/IA/1571,2015,Article,0.4,1,u,W2",
+    b"12/IA/1570,2014",
+    b"12/IA/1570,2014,article,nan,3,t,W3",
+    b"12/IA/1570,2014,article,inf,3,t,W4",
+    b"12/IA/1570,2014,article,-inf,3,t,W5",
+    b"12/IA/1570,2014,article,1e999,3,t,W6",
+    b"12/IA/1570,2014,article,1e308,3,t,W7",
+    b"12/IA/1570,2014,article,1.0," + b"9" * 5000 + b",t,W8",
+    b"12/IA/1570," + b"9" * 5000 + b",article,1.0,3,t,W9",
+    b"12/IA/1570,2014,article,1.0,3," + b"x" * 200_000 + b",W10",
+    b"12/IA/1570,2014,article,1.0,3,caf\xe9,W11",
+    b"\xff\xfe\x00",
+    b'12/IA/1570,2014,article,1.0,3,"unterminated',
+    b'12/IA/1570,2014,article,1.0,3,a"b"c,W12',
+    b"\x00,\x00,\x00",
+    b",,,,,,",
+    b"",
+]
+_JSONL_PIECES = [
+    b'{"award_code": "12/IA/1570", "year": 2014, "pub_type": "article", "fwci": 1.2, "source_id": "W1"}',
+    b'{"award_code": "12/IA/1571", "year": "2015", "pub_type": "note", "fwci": "0.4"}',
+    b'{"award_code": "12/IA/1570", "year": 2014, "fwci": NaN}',
+    b'{"award_code": "12/IA/1570", "year": 2014, "fwci": Infinity}',
+    b'{"award_code": "12/IA/1570", "year": 2014, "fwci": -Infinity}',
+    b'{"award_code": "12/IA/1570", "year": 2014, "fwci": 1e999}',
+    b'{"award_code": "12/IA/1570", "year": 2014, "pub_type": "article", "fwci": 1e308}',
+    b'{"award_code": "12/IA/1570", "year": ' + b"9" * 5000 + b"}",
+    b'{"award_code": "12/IA/1570", "year": 2014, "pub_type": "article", "fwci": 1.0, "title": "\\ud800"}',
+    b'{"award_code": "12/IA/1570", "year": 2014, "title": "' + b"x" * 200_000 + b'"}',
+    b'{"award_code": [1, {"a": null}], "year": true, "fwci": [], "citations": {}}',
+    b'{"award_code": "12/IA/1570", "year": 2014, "fwci": "caf\xe9"}',
+    b"\xff\xfe\x00",
+    b"[1, 2]",
+    b"not json",
+    b"",
+]
+_BUDGET_PIECES = [
+    b"award_code,budget_eur",
+    b"12/IA/1570,2500000",
+    b"12/IA/1570,1e308",
+    b"12/IA/1571,1e308",
+    b"12/IA/1571,nan",
+    b"12/IA/1571,-5",
+    b"12/IA/1571",
+    b"12/IA/1571,\xe9",
+    b"12/IA/1571," + b"9" * 200_000,
+]
+
+
+def _nested(depth):
+    return b'{"award_code": ' + b"[" * depth + b"]" * depth + b', "year": 2014}'
+
+
+def _corrupted(pieces, extra):
+    """Lines drawn from ``pieces`` and ``extra``, or raw bytes, joined by any line ending."""
+    line = st.one_of(st.sampled_from(pieces), extra, st.binary(max_size=12))
+    return st.tuples(st.lists(line, max_size=8), st.sampled_from([b"\n", b"\r\n", b"\r"])).map(
+        lambda t: t[1].join(t[0]) + t[1]
+    )
+
+
+_CSV_FILES = st.tuples(st.sampled_from([b"", _CSV_PIECES[0] + b"\n"]), _corrupted(_CSV_PIECES, st.nothing())).map(
+    b"".join
+)
+_JSONL_FILES = _corrupted(_JSONL_PIECES, st.sampled_from([10, 990, 1000, 1010, 100_000]).map(_nested))
+_BUDGET_FILES = st.tuples(st.just(_BUDGET_PIECES[0] + b"\n"), _corrupted(_BUDGET_PIECES, st.nothing())).map(b"".join)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    records=st.one_of(_CSV_FILES.map(lambda b: ("pubs.csv", b)), _JSONL_FILES.map(lambda b: ("pubs.jsonl", b))),
+    budgets=st.none() | _BUDGET_FILES,
+)
+def test_ingest_on_corrupted_input_exits_0_or_2(records, budgets):
+    name, data = records
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"--input": os.path.join(tmp, name), "--budgets": os.path.join(tmp, "budgets.csv")}
+        args = ["ingest", "--out", os.path.join(tmp, "out")]
+        for flag, content in (("--input", data), ("--budgets", budgets)):
+            if content is not None:
+                with open(paths[flag], "wb") as fh:
+                    fh.write(content)
+                args += [flag, paths[flag]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(args)
+    err = err.getvalue()
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
 
 
 # --- fit ---

@@ -1,7 +1,10 @@
+import csv
 import io
+import json
+import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fwcibench import corpus
 from fwcibench.corpus import (
@@ -155,6 +158,37 @@ def test_parse_jsonl():
     assert records[1].fwci is None
 
 
+def test_deeply_nested_jsonl_line_is_a_rejection():
+    deep = '{"award_code": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    good = '{"award_code": "12/IA/1570", "year": 2014, "pub_type": "article", "fwci": 1.5}'
+    records, rejections = corpus.parse_records(io.StringIO(deep + "\n" + good + "\n"), fmt="jsonl")
+    assert [r.award_code for r in records] == ["12/IA/1570"]
+    assert [(r.row, r.reason, r.raw) for r in rejections] == [(1, "not valid JSON: nested too deeply", deep)]
+
+
+@pytest.mark.parametrize(
+    "line,reason",
+    [
+        ('{"award_code": "12/IA/1570", "year": ' + "1" * 5000 + "}", "not valid JSON: a number has too many digits"),
+        (
+            '{"award_code": "12/IA/1570", "year": 2014, "title": "\\ud800"}',
+            "a string holds an unpaired surrogate, which is not Unicode text",
+        ),
+    ],
+    ids=["long-integer", "lone-surrogate"],
+)
+def test_undecodable_jsonl_line_is_a_rejection(line, reason):
+    records, rejections = corpus.parse_records(io.StringIO(line + "\n"), fmt="jsonl")
+    assert not records
+    assert [(r.row, r.reason, r.raw) for r in rejections] == [(1, reason, line)]
+
+
+def test_jsonl_surrogate_pair_is_one_character():
+    line = '{"award_code": "12/IA/1570", "year": 2014, "title": "\\ud83d\\ude00"}'
+    (record,), rejections = corpus.parse_records(io.StringIO(line + "\n"), fmt="jsonl")
+    assert not rejections and record.title == "\U0001f600"
+
+
 def test_parse_unknown_format():
     with pytest.raises(ValueError):
         corpus.parse_records(io.StringIO(""), fmt="xml")
@@ -167,6 +201,226 @@ def test_csv_round_trip():
     back, rejections = corpus.parse_records(io.StringIO(buf.getvalue()))
     assert not rejections
     assert back == records
+
+
+# --- parse_records against a per-row reference parser ---
+#
+# parse_records remembers each distinct award code, year and publication type
+# cell it has parsed. The reference below parses every row afresh through a
+# {column: cell} dict, as the parser did before it kept that state; on any
+# input the two must give equal records and equal rejections.
+
+
+def _ref_absent(value):
+    return value is None or (isinstance(value, str) and value.strip() == "")
+
+
+def _ref_record(fields, row, raw):
+    code_raw = fields.get("award_code")
+    if _ref_absent(code_raw):
+        return RowRejection(row, "missing award_code", raw)
+    try:
+        code = corpus.normalize_award_code(str(code_raw))
+    except AwardCodeError as exc:
+        return RowRejection(row, f"award code {exc.reason}", raw)
+    year_raw = fields.get("year")
+    if _ref_absent(year_raw):
+        return RowRejection(row, "missing year", raw)
+    try:
+        year = int(str(year_raw).strip())
+    except ValueError:
+        return RowRejection(row, f"year {year_raw!r} is not an integer", raw)
+    text = str(fields.get("pub_type", "")).strip().lower().replace(" ", "_").replace("-", "_")
+    pub_type = text if text in corpus.PUBLICATION_TYPES else "other"
+    fwci = None
+    fwci_raw = fields.get("fwci")
+    if not _ref_absent(fwci_raw):
+        try:
+            fwci = float(str(fwci_raw).strip())
+        except ValueError:
+            return RowRejection(row, f"fwci {fwci_raw!r} is not a number", raw)
+        if not math.isfinite(fwci):
+            return RowRejection(row, "fwci is not finite", raw)
+        if fwci < 0:
+            return RowRejection(row, "negative fwci", raw)
+    citations = None
+    cit_raw = fields.get("citations")
+    if not _ref_absent(cit_raw):
+        try:
+            citations = int(str(cit_raw).strip())
+        except ValueError:
+            return RowRejection(row, f"citations {cit_raw!r} is not an integer", raw)
+        if citations < 0:
+            return RowRejection(row, "negative citation count", raw)
+    title = "" if _ref_absent(fields.get("title")) else str(fields.get("title"))
+    source_id = "" if _ref_absent(fields.get("source_id")) else str(fields.get("source_id")).strip()
+    return PublicationRecord(code, year, pub_type, fwci, citations, title, source_id)
+
+
+def _ref_rows(stream, fmt):
+    if fmt == "jsonl":
+        for lineno, line in enumerate(stream, start=1):
+            raw = line.rstrip("\n")
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                yield lineno, f"not valid JSON: {exc.msg}", raw
+                continue
+            yield lineno, (obj if isinstance(obj, dict) else "line is not a JSON object"), raw
+        return
+    reader = csv.reader(stream)
+    cols = [c.strip().lower() for c in next(reader)]
+    index = {name: cols.index(name) for name in corpus.CSV_COLUMNS}
+    for cells in reader:
+        if not cells or all(c.strip() == "" for c in cells):
+            continue
+        fields = {name: (cells[i] if i < len(cells) else "") for name, i in index.items()}
+        yield reader.line_num, fields, ",".join(cells)
+
+
+def reference_parse(text, fmt):
+    records, rejections = [], []
+    for row, fields, raw in _ref_rows(io.StringIO(text, newline=""), fmt):
+        out = RowRejection(row, fields, raw) if isinstance(fields, str) else _ref_record(fields, row, raw)
+        (rejections if isinstance(out, RowRejection) else records).append(out)
+    return records, rejections
+
+
+def assert_parses_like_reference(text, fmt):
+    records, rejections = corpus.parse_records(io.StringIO(text, newline=""), fmt=fmt)
+    ref_records, ref_rejections = reference_parse(text, fmt)
+    assert records == ref_records
+    assert [(r.row, r.reason, r.raw) for r in rejections] == [(r.row, r.reason, r.raw) for r in ref_rejections]
+
+
+# Blanks that str.strip() removes; float() and int() do not accept \x1c-\x1f.
+_BLANK = st.sampled_from(["", "", " ", "  ", "\t", "\x1c", "\x1f", "\u00a0", "\u3000"])
+_TEXT = st.text(max_size=8)
+
+
+def _either(common, rare, odds=3):
+    """``common`` about ``odds`` times as often as ``rare``."""
+    return st.sampled_from([True] * odds + [False]).flatmap(lambda pick_common: common if pick_common else rare)
+
+
+def _cells(usual, odd):
+    """A column's cells: mostly ``usual`` values, sometimes ``odd`` ones or any text, with blanks around them.
+
+    The pools are small, so a stream repeats each cell, in rows that parse
+    and in rows rejected for another column.
+    """
+    padded = st.tuples(_BLANK, _either(st.sampled_from(usual), st.sampled_from(odd)), _BLANK).map("".join)
+    return _either(padded, _TEXT)
+
+
+CELLS = {
+    "award_code": _cells(
+        ["12/IA/1570", "SFI/12/IA/1570", "14/1A/2508", "SFI/14/1A/2508"],
+        ["12/IB/1234", "123/IA/1234", "12/ia/1570", "SFI/", ""],
+    ),
+    "year": _cells(["2014", "2015", "0", "-3", "+7", "1_000", "\u0662\u0660"], ["2014.0", "1e3", "noyear", ""]),
+    "pub_type": _cells(
+        ["article", "Article", "Conference Paper", "conference-paper", "review", "NOTE"], ["data paper", "", "-"]
+    ),
+    "fwci": st.one_of(
+        _cells(["1.5", "0", "0.0", "-0.0", "2e-3", "1_0"], ["-1", "nan", "NaN", "inf", "-inf", "1e999", "abc", ""]),
+        st.floats().map(repr),
+    ),
+    "citations": st.one_of(
+        _cells(["3", "0", "1_000", "+4"], ["-2", "many", "1.5", "nan", ""]), st.integers(-9, 10**6).map(str)
+    ),
+    "title": _cells(["Paper one", "a,b", 'say "hi"'], ["", "\n"]),
+    "source_id": _cells(["W1", "W2"], [""]),
+    "extra": _TEXT,
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """A record table: shuffled columns plus an extra one, short and blank rows, either line ending."""
+    order = draw(st.permutations([*corpus.CSV_COLUMNS, "extra"]))
+    header = [draw(st.sampled_from([name, name.upper(), f" {name} "])) for name in order]
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(CELLS[name]) for name in order]
+        rows.append(row if draw(st.sampled_from([True] * 3 + [False])) else row[: draw(st.integers(0, len(row)))])
+    buf = io.StringIO(newline="")
+    csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows([header, *rows])
+    return buf.getvalue()
+
+
+# Most JSON values come from a pool whose members are equal as dict keys
+# (1, 1.0, True; 0, 0.0, False; 2014, 2014.0) but not as text.
+_JSON_VALUES = _either(
+    st.sampled_from([None, True, 1, 1.0, "1", False, 0, 0.0, 2014, 2014.0]),
+    st.one_of(
+        st.integers(-(10**6), 10**6),
+        st.floats(),
+        _TEXT,
+        st.lists(st.integers(0, 9), max_size=2),
+        st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=2),
+    ),
+    odds=2,
+)
+
+
+@st.composite
+def jsonl_streams(draw):
+    """JSONL lines: objects whose values are any JSON type, scalars, broken JSON and blank lines."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["object"] * 5 + ["scalar", "broken", "blank"]))
+        if kind == "object":
+            keep = st.sampled_from([True] * 4 + [False])
+            odds = {"award_code": 3}  # a row with a valid code goes on to parse its other cells
+            obj = {
+                name: draw(_either(CELLS[name], _JSON_VALUES, odds.get(name, 1)))
+                for name in corpus.CSV_COLUMNS
+                if draw(keep)
+            }
+            lines.append(json.dumps(obj))
+        elif kind == "scalar":
+            lines.append(json.dumps(draw(_JSON_VALUES)))
+        else:
+            pool = ["not json", "{", '{"year": }', "[1, 2"] if kind == "broken" else ["", "  "]
+            lines.append(draw(st.sampled_from(pool)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(csv_tables())
+def test_csv_parse_matches_per_row_reference(text):
+    assert_parses_like_reference(text, "csv")
+
+
+@settings(max_examples=100, deadline=None)
+@given(jsonl_streams())
+def test_jsonl_parse_matches_per_row_reference(text):
+    assert_parses_like_reference(text, "jsonl")
+
+
+def test_memo_keeps_json_values_apart_from_their_text():
+    # 1, 1.0 and True are one dict key; as year cells they give 1, an error and an error.
+    lines = [{"award_code": "12/IA/1570", "year": y} for y in ("1", 1, 1.0, True, "True", " 1 ")]
+    text = "".join(json.dumps(obj) + "\n" for obj in lines)
+    assert_parses_like_reference(text, "jsonl")
+    records, rejections = corpus.parse_records(io.StringIO(text), fmt="jsonl")
+    assert [r.year for r in records] == [1, 1, 1]
+    assert [r.reason for r in rejections] == [
+        "year 1.0 is not an integer",
+        "year True is not an integer",
+        "year 'True' is not an integer",
+    ]
+
+
+def test_record_keeps_frozen_slots():
+    record = rec()
+    with pytest.raises(AttributeError):
+        record.fwci = 2.0
+    assert not hasattr(record, "__dict__")
+    assert hash(record) == hash(rec()) and record == rec()
 
 
 # --- filter_eligible ---
