@@ -5,11 +5,13 @@ into reproducible runs. Reports are line-oriented text, series files are CSV,
 and nothing embeds a timestamp or machine detail: the same inputs, flags and
 seed produce byte-identical output files on every run.
 
-Exit codes: 0 success, 1 usage error (bad flags, unreadable path), 2 data
-error (malformed corpus, text that is not UTF-8, a CSV the csv module cannot
-read, nothing to process, fewer than 4 distinct values to fit, budgets whose
-sum overflows), 3 numerical failure (ensemble or fit breakdown, a simulated
-median that underflows).
+Exit codes: 0 success; 1 usage error (bad flags, or an OSError such as an
+unreadable path); 2 data error, raised as corpus.DataError (malformed corpus,
+text that is not UTF-8, a CSV the csv module cannot read, nothing to process,
+fewer than 4 distinct values to fit, budgets or an award's FWCI values whose
+sum overflows); 3 numerical failure, raised as lognormal.NumericalError (every
+ensemble fit failed, a simulated median underflowed). Any other exception is
+a bug and ends the run with a traceback.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corpus, histogram, lognormal, simulate
-from .corpus import CorpusFormatError
-from .lognormal import EnsembleError, LognormalParams
+from .corpus import DataError
+from .lognormal import LognormalParams, NumericalError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,16 +46,17 @@ _ZERO_SHIFT = 0.01
 _CURVE_POINTS = 512
 
 
-class DataError(Exception):
-    """Input parsed but holds nothing the requested command can work on."""
+def _shown(path: str) -> str:
+    """``path`` as UTF-8 text, with each byte of a non-UTF-8 name shown as ``\\xNN``."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
 
 
 def _config_lines(args: argparse.Namespace) -> list[str]:
     """The effective settings of one command run; echoed into every report."""
     return [
         "config:",
-        f"  input = {args.input}",
-        f"  budgets = {args.budgets if args.budgets else '-'}",
+        f"  input = {_shown(args.input)}",
+        f"  budgets = {_shown(args.budgets) if args.budgets else '-'}",
         f"  low_cut = {args.low_cut!r}",
         f"  range = {args.range[0]!r}:{args.range[1]!r}",
         f"  bins = {args.bins[0]}:{args.bins[1]}",
@@ -61,7 +64,7 @@ def _config_lines(args: argparse.Namespace) -> list[str]:
         f"  sigma2 = {','.join(repr(s) for s in args.sigma2)}",
         f"  reps = {args.reps}",
         f"  seed = {args.seed}",
-        f"  out = {args.out}",
+        f"  out = {_shown(args.out)}",
     ]
 
 
@@ -332,8 +335,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     cons_lo = math.log(args.low_cut) if args.low_cut > 0 else _LOG_LO
     cons_hi = math.log(fit_hi)
-    cons_hist = histogram.build_histogram(np.log(fit_values), cons_lo, cons_hi, _LOG_BINS)
     try:
+        # empty window when ln(low_cut) >= ln(fit_hi), or fit_hi <= e^-5 with no low cut
+        cons_hist = histogram.build_histogram(np.log(fit_values), cons_lo, cons_hi, _LOG_BINS)
         cons_amp, cons_params = lognormal.fit_normal_log(cons_hist)
         cons_lines = [
             f"  range = {cons_lo!r}:{cons_hi!r} ({_LOG_BINS} bins of ln values)",
@@ -475,10 +479,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusFormatError, DataError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (EnsembleError, ValueError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -29,7 +29,8 @@ DEFAULT_INCLUDED_TYPES = frozenset({"article", "conference_paper", "letter", "no
 
 CSV_COLUMNS = ("award_code", "year", "pub_type", "fwci", "citations", "title", "source_id")
 
-_CANONICAL_CODE = re.compile(r"^\d{2}/IA/\d{4}$")
+# [0-9], not \d: \d also matches full-width and other Unicode digits, which would spawn a second award.
+_CANONICAL_CODE = re.compile(r"^[0-9]{2}/IA/[0-9]{4}$")
 # What a JSON "\ud800"-style escape decodes to when no partner completes the pair.
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -43,8 +44,8 @@ class AwardCodeError(ValueError):
         self.reason = reason
 
 
-class CorpusFormatError(Exception):
-    """The input cannot be read as a table at all (bad header, not a table, not UTF-8 text)."""
+class DataError(Exception):
+    """The input cannot be used: not a readable table, not UTF-8 text, or nothing a command can compute on."""
 
 
 def normalize_award_code(raw: str) -> str:
@@ -208,17 +209,17 @@ def _csv_rows(
     blanks ignored; at least two, so the cells come as a tuple); other
     columns are ignored. A row shorter than the header reads its missing
     cells as empty. A line the ``csv`` module cannot read raises
-    :class:`CorpusFormatError` with its line number.
+    :class:`DataError` with its line number.
     """
     reader = csv.reader(stream)
     try:
         header = next(reader, None)
         if header is None:
-            raise CorpusFormatError(f"empty {what} table: no header row")
+            raise DataError(f"empty {what} table: no header row")
         cols = [c.strip().lower() for c in header]
         missing = [c for c in required if c not in cols]
         if missing:
-            raise CorpusFormatError(f"{what} header is missing columns: {', '.join(missing)}")
+            raise DataError(f"{what} header is missing columns: {', '.join(missing)}")
         index = [cols.index(name) for name in required]
         pick = operator.itemgetter(*index)
         width = max(index) + 1
@@ -227,7 +228,7 @@ def _csv_rows(
                 continue
             yield reader.line_num, pick(cells if len(cells) >= width else cells + [""] * width), cells
     except csv.Error as exc:
-        raise CorpusFormatError(f"line {reader.line_num}: {exc}") from exc
+        raise DataError(f"line {reader.line_num}: {exc}") from exc
 
 
 def _jsonl_rows(stream: TextIO) -> Iterator[tuple[int, tuple[object, ...] | str, list[str]]]:
@@ -289,8 +290,8 @@ def _read_file(path: str, parse: Callable[[TextIO], tuple]) -> tuple:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             return parse(fh)
-        except (CorpusFormatError, UnicodeDecodeError) as exc:
-            raise CorpusFormatError(f"{path}: {exc}") from exc
+        except (DataError, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def read_records(path: str) -> tuple[list[PublicationRecord], list[RowRejection]]:
@@ -372,7 +373,8 @@ def summarize_awards(
 
     ``mean_fwci`` is the plain arithmetic mean over the award's records that
     carry an FWCI. ``cost_per_paper`` is budget / paper count when the award
-    has a budget entry.
+    has a budget entry. An award whose FWCI values sum past the largest float
+    has no mean and raises :class:`DataError`.
     """
     budgets = budgets or {}
     groups: dict[str, list[PublicationRecord]] = {}
@@ -384,6 +386,8 @@ def summarize_awards(
         rows = groups[code]
         fwcis = [r.fwci for r in rows if r.fwci is not None]
         mean = sum(fwcis) / len(fwcis) if fwcis else None
+        if mean is not None and not math.isfinite(mean):
+            raise DataError(f"award {code}: its FWCI values sum past the largest float; no mean")
         budget = budgets.get(code)
         cost = budget / len(rows) if budget is not None and len(rows) >= 1 else None
         summaries.append(

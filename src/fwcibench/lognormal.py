@@ -26,8 +26,8 @@ log = logging.getLogger(__name__)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-class EnsembleError(RuntimeError):
-    """Every fit in an ensemble failed; there is nothing to take percentiles of."""
+class NumericalError(Exception):
+    """A computation broke down: every fit in an ensemble failed, or a simulated median underflowed."""
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ def ensemble_fit(
     per_draw = per_count[draw_of]
     per_draw = per_draw[~np.isnan(per_draw[:, 0])]
     if not len(per_draw):
-        raise EnsembleError(f"all {n_fits} ensemble fits failed")
+        raise NumericalError(f"all {n_fits} ensemble fits failed")
 
     mu_lo, mu_mid, mu_hi = np.percentile(per_draw[:, 0], [2.5, 50.0, 97.5])
     sg_lo, sg_mid, sg_hi = np.percentile(per_draw[:, 1], [2.5, 50.0, 97.5])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import AwardSummary
-from .lognormal import LognormalParams
+from .lognormal import LognormalParams, NumericalError
 
 VERDICT_ABOVE = "above_median"
 VERDICT_BELOW = "below_median"
@@ -144,7 +144,7 @@ def medians(n_values, sigma_sq: float, reps: int, seed: int) -> dict[int, float]
         # np.median averages the two central order statistics when reps is even.
         median = float(np.median(total)) / n
         if not median > 0:
-            raise ValueError(f"simulated median of means underflows to {median!r} at sigma2 = {sigma_sq!r}, n = {n}")
+            raise NumericalError(f"simulated median of means underflows to {median!r} at sigma2 = {sigma_sq!r}, n = {n}")
         out[n] = median
     return out
 

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -167,6 +168,38 @@ def test_budgets_summing_past_the_largest_float_are_a_data_error(corpus_path, tm
     assert assert_one_line_error(capsys).startswith(f"error: {budgets}: the budgets sum past the largest float")
 
 
+@pytest.mark.parametrize(
+    "command,output",
+    [(["ingest"], "award_summaries.csv"), (["benchmark", "--reps", "100"], "benchmark.csv")],
+    ids=["ingest", "benchmark"],
+)
+def test_award_fwci_sum_past_the_largest_float_is_a_data_error(tmp_path, command, output, capsys):
+    path = tmp_path / "huge.csv"
+    rows = [["11/IA/3009", 2019, "article", "1.7e308", 1, "t", f"W{i}"] for i in range(2)]
+    write_csv(path, list(CSV_COLUMNS), rows + [["11/IA/3010", 2019, "article", "1.0", 1, "t", "W3"]])
+    out = tmp_path / "out"
+    assert cli.main([*command, "--input", str(path), "--out", str(out)]) == 2
+    expected = "error: award 11/IA/3009: its FWCI values sum past the largest float; no mean\n"
+    assert assert_one_line_error(capsys) == expected
+    assert not (out / output).exists()
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(["ingest"], "--input"), (["curve", "--n-list", "1,5", "--reps", "100"], "--out")],
+    ids=["ingest-input", "curve-out"],
+)
+def test_non_utf8_path_is_echoed_with_byte_escapes(corpus_path, tmp_path, command, flag):
+    paths = {"--input": str(corpus_path), "--out": str(tmp_path / "out")}
+    paths[flag] = str(tmp_path / os.fsdecode(b"p\xff.csv"))
+    if flag == "--input":
+        shutil.copyfile(corpus_path, paths[flag])
+    assert cli.main([*command, "--input", paths["--input"], "--out", paths["--out"]]) == 0
+    report = os.path.join(paths["--out"], f"{command[0]}_report.txt")
+    with open(report, encoding="utf-8") as fh:
+        assert f"  {flag[2:]} = {tmp_path}{os.sep}p\\xff.csv\n" in fh.read()
+
+
 # Pieces of corrupted record and budget files: rows that parse, short rows,
 # non-finite and out-of-range numbers, fields past the csv module's limit,
 # bytes that are not UTF-8, broken quoting, and (JSONL) nesting, integers and
@@ -241,17 +274,32 @@ _CSV_FILES = st.tuples(st.sampled_from([b"", _CSV_PIECES[0] + b"\n"]), _corrupte
 _JSONL_FILES = _corrupted(_JSONL_PIECES, st.sampled_from([10, 990, 1000, 1010, 100_000]).map(_nested))
 _BUDGET_FILES = st.tuples(st.just(_BUDGET_PIECES[0] + b"\n"), _corrupted(_BUDGET_PIECES, st.nothing())).map(b"".join)
 
+# A valid sample that fit and benchmark read before the corrupted lines: 24
+# distinct values inside the fit range, so fit reaches its ensemble and
+# benchmark its Monte Carlo.
+_BASE_ROWS = [(f"12/IA/{1570 + k % 3}", repr(0.15 * 1.15**k), f"B{k}") for k in range(24)]
+_BASE = {
+    "pubs.csv": _CSV_PIECES[0] + b"\n" + "".join(f"{c},2014,article,{v},1,t,{s}\n" for c, v, s in _BASE_ROWS).encode(),
+    "pubs.jsonl": "".join(
+        f'{{"award_code": "{c}", "year": 2014, "pub_type": "article", "fwci": {v}, "source_id": "{s}"}}\n'
+        for c, v, s in _BASE_ROWS
+    ).encode(),
+}
 
+
+@pytest.mark.parametrize("command", ["ingest", "fit", "benchmark"])
 @settings(max_examples=80, deadline=None)
 @given(
     records=st.one_of(_CSV_FILES.map(lambda b: ("pubs.csv", b)), _JSONL_FILES.map(lambda b: ("pubs.jsonl", b))),
     budgets=st.none() | _BUDGET_FILES,
 )
-def test_ingest_on_corrupted_input_exits_0_or_2(records, budgets):
+def test_corrupted_input_exits_0_or_2(command, records, budgets):
     name, data = records
+    if command != "ingest":
+        data = _BASE[name] + data
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"--input": os.path.join(tmp, name), "--budgets": os.path.join(tmp, "budgets.csv")}
-        args = ["ingest", "--out", os.path.join(tmp, "out")]
+        args = [command, "--out", os.path.join(tmp, "out"), "--fits", "10", "--bins", "20:60", "--reps", "100"]
         for flag, content in (("--input", data), ("--budgets", budgets)):
             if content is not None:
                 with open(paths[flag], "wb") as fh:
@@ -338,6 +386,19 @@ def test_fit_on_fewer_than_four_distinct_values_is_a_data_error(values, tmp_path
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "distinct values" in err and err.count("\n") == 1
     assert not (out / "fit_report.txt").exists()
+
+
+def test_fit_with_an_empty_consistency_window_reports_it_unavailable(tmp_path, capsys):
+    # with no low cut the ln-value window starts at -5, past ln(0.005)
+    path = tmp_path / "tiny.csv"
+    rows = [["11/IA/2000", 2019, "article", repr(0.0005 + 0.0001 * k), 1, "t", f"W{k}"] for k in range(40)]
+    write_csv(path, list(CSV_COLUMNS), rows)
+    out = tmp_path / "out"
+    args = ["fit", "--input", str(path), "--out", str(out), "--low-cut", "0", "--range", "0:0.005", "--fits", "20"]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().err == ""
+    report = (out / "fit_report.txt").read_text(encoding="utf-8")
+    assert "consistency (normal fit to ln values):\n  unavailable: need lo < hi" in report
 
 
 def test_fit_on_empty_corpus(tmp_path):

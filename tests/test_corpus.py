@@ -10,7 +10,7 @@ from fwcibench import corpus
 from fwcibench.corpus import (
     AwardCodeError,
     AwardSummary,
-    CorpusFormatError,
+    DataError,
     PublicationRecord,
     RowRejection,
 )
@@ -41,7 +41,7 @@ def test_normalize_trims_whitespace():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "12/IB/1234", "123/IA/1234", "12/IA/123", "12/IA/12345", "12-IA-1234", "xx/IA/1234", "12/IA/"],
+    ["", "12/IB/1234", "123/IA/1234", "12/IA/123", "12/IA/12345", "12-IA-1234", "xx/IA/1234", "12/IA/", "１２/IA/1234"],
 )
 def test_normalize_rejects_noncanonical(bad):
     with pytest.raises(AwardCodeError) as err:
@@ -122,6 +122,13 @@ def test_parse_bad_rows_never_abort():
     assert rejections[0].row == 2
 
 
+def test_full_width_digits_do_not_make_a_second_award():
+    text = HEADER + "12/IA/1234,2014,article,1.0,1,t,a1\n" + "１２/IA/1234,2014,article,2.0,1,u,a2\n"
+    records, rejections = corpus.parse_records(io.StringIO(text))
+    assert [s.award_code for s in corpus.summarize_awards(records)] == ["12/IA/1234"]
+    assert [(r.row, r.reason) for r in rejections] == [(3, "award code does not match YY/IA/XXXX")]
+
+
 def test_parse_unknown_pub_type_maps_to_other():
     text = HEADER + "12/IA/1570,2014,data paper,1.0,5,t,a1\n"
     records, _ = corpus.parse_records(io.StringIO(text))
@@ -129,20 +136,20 @@ def test_parse_unknown_pub_type_maps_to_other():
 
 
 def test_parse_missing_header_column_fatal():
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(DataError):
         corpus.parse_records(io.StringIO("award_code,year\n12/IA/1570,2014\n"))
 
 
 def test_parse_empty_stream_fatal():
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(DataError):
         corpus.parse_records(io.StringIO(""))
 
 
 def test_unreadable_csv_line_is_a_format_error_with_its_line():
     text = HEADER + "12/IA/1570,2014,article,1.0,5,t,a1\n" + "12/IA/1570,2014,article,1.0,5," + "x" * 200_000 + ",a2\n"
-    with pytest.raises(CorpusFormatError, match="^line 3: field larger than field limit"):
+    with pytest.raises(DataError, match="^line 3: field larger than field limit"):
         corpus.parse_records(io.StringIO(text))
-    with pytest.raises(CorpusFormatError, match="^line 2: field larger than field limit"):
+    with pytest.raises(DataError, match="^line 2: field larger than field limit"):
         corpus.load_budgets(io.StringIO("award_code,budget_eur\n12/IA/1570," + "9" * 200_000 + "\n"))
 
 
@@ -571,7 +578,7 @@ def test_load_budgets():
 
 
 def test_load_budgets_missing_column():
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(DataError):
         corpus.load_budgets(io.StringIO("award_code,amount\n"))
 
 

@@ -9,9 +9,9 @@ from scipy.integrate import quad
 from fwcibench import lognormal
 from fwcibench.histogram import Histogram, build_histogram, log_transform
 from fwcibench.lognormal import (
-    EnsembleError,
     FitEnsemble,
     LognormalParams,
+    NumericalError,
     derived_stats,
     ensemble_fit,
     fit_histogram,
@@ -259,7 +259,7 @@ def per_draw_ensemble(values, lo, hi, bins_lo, bins_hi, n_fits, seed):
             mus.append(fit.params.mu)
             sigmas.append(fit.params.sigma)
     if not mus:
-        raise EnsembleError(f"all {n_fits} ensemble fits failed")
+        raise NumericalError(f"all {n_fits} ensemble fits failed")
     q = [2.5, 50.0, 97.5]
     return FitEnsemble(
         *(float(v) for v in np.percentile(mus, q)),
@@ -305,7 +305,7 @@ def test_ensemble_counts_failed_members():
 def test_ensemble_all_failed_raises():
     args = (np.full(50, 0.5), 0.0, 8.0, 20, 40, 10)
     for fit in (ensemble_fit, per_draw_ensemble):
-        with pytest.raises(EnsembleError, match="all 10 ensemble fits failed"):
+        with pytest.raises(NumericalError, match="all 10 ensemble fits failed"):
             fit(*args, seed=0)
 
 

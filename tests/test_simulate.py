@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fwcibench.corpus import AwardSummary
-from fwcibench.lognormal import LognormalParams, derived_stats
+from fwcibench.lognormal import LognormalParams, NumericalError, derived_stats
 from fwcibench.simulate import (
     VERDICT_ABOVE,
     VERDICT_BELOW,
@@ -146,7 +146,7 @@ def test_medians_equal_median_of_direct_means():
 
 def test_median_that_underflows_is_an_error():
     # mu = -1000: the median draw, e^-1000, underflows to 0
-    with pytest.raises(ValueError, match=r"sigma2 = 2000\.0, n = 1"):
+    with pytest.raises(NumericalError, match=r"sigma2 = 2000\.0, n = 1"):
         median_of_means(1, BaselineField(2000.0), 100, SEED)
 
 
