@@ -8,10 +8,10 @@ seed produce byte-identical output files on every run.
 Exit codes: 0 success; 1 usage error (bad flags, or an OSError such as an
 unreadable path); 2 data error, raised as corpus.DataError (malformed corpus,
 text that is not UTF-8, a CSV the csv module cannot read, nothing to process,
-fewer than 4 distinct values to fit, budgets or an award's FWCI values whose
-sum overflows); 3 numerical failure, raised as lognormal.NumericalError (every
-ensemble fit failed, a simulated median underflowed). Any other exception is
-a bug and ends the run with a traceback.
+fewer than 4 distinct values to fit, budgets, an award's FWCI values or all
+eligible FWCI values whose sum overflows); 3 numerical failure, raised as
+lognormal.NumericalError (every ensemble fit failed, a simulated median
+underflowed). Any other exception is a bug and ends the run with a traceback.
 """
 
 from __future__ import annotations
@@ -280,6 +280,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise DataError("no eligible records to fit")
 
     all_values = np.array([r.fwci for r in eligible], dtype=float)
+    with np.errstate(over="ignore"):
+        naive_mean_all = float(all_values.mean())
+    if not math.isfinite(naive_mean_all):
+        raise DataError("the eligible FWCI values sum past the largest float; no naive_mean_all")
     low, main = corpus.split_low_fwci(eligible, args.low_cut)
     fit_values = np.array(
         [r.fwci for r in main if fit_lo < r.fwci < fit_hi], dtype=float
@@ -358,7 +362,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         f"  below_low_cut = {len(low)}",
         f"  outside_fit_range = {n_outside}",
         f"  fitted = {fit_values.size}",
-        f"  naive_mean_all = {float(all_values.mean())!r}",
+        f"  naive_mean_all = {naive_mean_all!r}",
         f"  naive_mean_fitted_sample = {float(fit_values.mean())!r}",
         "ensemble:",
         f"  n_fits = {ensemble.n_fits}",
@@ -385,7 +389,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     print(f"fitted {fit_values.size} values; ensemble n_failed = {ensemble.n_failed}")
     print(f"mu_p50 = {ensemble.mu_p50!r}, sigma_p50 = {ensemble.sigma_p50!r}")
-    print(f"fitted_mean = {stats.mean!r} vs naive_mean_all = {float(all_values.mean())!r}")
+    print(f"fitted_mean = {stats.mean!r} vs naive_mean_all = {naive_mean_all!r}")
     return EXIT_OK
 
 

@@ -134,13 +134,20 @@ def _parse_award_code(cell: object) -> tuple[str, str]:
         return "", f"award code {exc.reason}"
 
 
+def _number(convert: Callable, text: str):
+    """``convert(text)`` for int or float, which alone would also read ``_`` digit separators (``1_0`` as 10)."""
+    if "_" in text:
+        raise ValueError(f"digit separator in {text!r}")
+    return convert(text)
+
+
 def _parse_year(cell: object) -> tuple[int, str]:
     """``(year, "")``, or ``(0, reason)`` when the row must be rejected."""
     text = _text(cell)
     if not text:
         return 0, "missing year"
     try:
-        return int(text), ""
+        return _number(int, text), ""
     except ValueError:
         return 0, f"year {cell!r} is not an integer"
 
@@ -168,7 +175,7 @@ def _record_from_fields(
     text = fwci_cell.strip() if type(fwci_cell) is str else _text(fwci_cell)
     if text:
         try:
-            fwci = float(text)
+            fwci = _number(float, text)
         except ValueError:
             return f"fwci {fwci_cell!r} is not a number"
         if not math.isfinite(fwci):
@@ -180,7 +187,7 @@ def _record_from_fields(
     text = cit_cell.strip() if type(cit_cell) is str else _text(cit_cell)
     if text:
         try:
-            citations = int(text)
+            citations = _number(int, text)
         except ValueError:
             return f"citations {cit_cell!r} is not an integer"
         if citations < 0:

@@ -11,12 +11,15 @@ generator stream, and every paper count reads its awards from the start of
 that stream, so the median for n depends only on the first n draws of each
 simulated award. Adding or reordering paper counts or baselines therefore
 never perturbs other results, and one sigma_sq's medians are correlated
-across n.
+across n. The baselines of one curve run on worker threads, one per
+available core, each holding two reps-long arrays; no result depends on the
+number of threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,18 +107,8 @@ def sample_lognormal(params: LognormalParams, n: int, stream: np.random.Generato
     return np.exp(params.mu + params.sigma * z)
 
 
-def medians(n_values, sigma_sq: float, reps: int, seed: int) -> dict[int, float]:
-    """Median over reps simulated awards of the mean of n baseline draws, for each n.
-
-    One generator stream per (seed, sigma_sq), with sigma_sq entering through
-    its float64 bit pattern. Paper j is drawn for all reps at once and added
-    to a running sum, so the n-paper award means are the first n draws of
-    each rep: a result for n depends only on the first n * reps values of
-    the stream, and adding paper counts or baselines never moves another
-    result. Because every n reads the same draws, one sigma_sq's medians are
-    correlated across n. Memory is two reps-long arrays; time grows with
-    reps * max(n_values).
-    """
+def _checked(n_values, reps: int, seed: int) -> list[int]:
+    """The distinct paper counts in n_values, ascending, once they, reps and seed are checked."""
     wanted = sorted({int(n) for n in n_values})
     if not wanted:
         raise ValueError("n_values must be non-empty")
@@ -125,9 +118,18 @@ def medians(n_values, sigma_sq: float, reps: int, seed: int) -> dict[int, float]
         raise ValueError(f"need reps >= 1, got {reps}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    params = BaselineField(sigma_sq).params
+    return wanted
+
+
+def _stream(sigma_sq: float, seed: int) -> np.random.Generator:
+    """The generator stream of (seed, sigma_sq), keyed by sigma_sq's float64 bit pattern."""
     key = int(np.float64(sigma_sq).view(np.uint64))
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), key]))
+    return np.random.default_rng(np.random.SeedSequence([int(seed), key]))
+
+
+def _run_stream(wanted: list[int], sigma_sq: float, reps: int, rng: np.random.Generator) -> dict[int, float]:
+    """The medians at each of the ascending paper counts in wanted, drawn from rng (see medians)."""
+    params = BaselineField(sigma_sq).params
     total = np.zeros(reps)
     draw = np.empty(reps)
     out: dict[int, float] = {}
@@ -141,12 +143,30 @@ def medians(n_values, sigma_sq: float, reps: int, seed: int) -> dict[int, float]
             np.exp(draw, out=draw)
             total += draw
         drawn = n
-        # np.median averages the two central order statistics when reps is even.
-        median = float(np.median(total)) / n
+        # The median partitions a copy of total in the idle draw buffer; np.median
+        # averages the two central order statistics when reps is even.
+        np.copyto(draw, total)
+        median = float(np.median(draw, overwrite_input=True)) / n
         if not median > 0:
             raise NumericalError(f"simulated median of means underflows to {median!r} at sigma2 = {sigma_sq!r}, n = {n}")
         out[n] = median
     return out
+
+
+def medians(n_values, sigma_sq: float, reps: int, seed: int) -> dict[int, float]:
+    """Median over reps simulated awards of the mean of n baseline draws, for each n.
+
+    One generator stream per (seed, sigma_sq), with sigma_sq entering through
+    its float64 bit pattern. Paper j is drawn for all reps at once and added
+    to a running sum, so the n-paper award means are the first n draws of
+    each rep: a result for n depends only on the first n * reps values of
+    the stream, and adding paper counts or baselines never moves another
+    result. Because every n reads the same draws, one sigma_sq's medians are
+    correlated across n. Memory is two reps-long arrays, two per worker
+    thread when median_curve runs several baselines at once; time grows with
+    reps * max(n_values).
+    """
+    return _run_stream(_checked(n_values, reps, seed), sigma_sq, reps, _stream(sigma_sq, seed))
 
 
 def median_of_means(n: int, baseline: BaselineField, reps: int, seed: int) -> MedianCurvePoint:
@@ -156,16 +176,31 @@ def median_of_means(n: int, baseline: BaselineField, reps: int, seed: int) -> Me
 
 
 def median_curve(n_values, baselines, reps: int, seed: int) -> list[MedianCurvePoint]:
-    """One MedianCurvePoint per (baseline, n) combination, grouped by baseline."""
+    """One MedianCurvePoint per (baseline, n) combination, grouped by baseline.
+
+    The baselines' streams are independent, so they run concurrently, one
+    worker thread per available core; each point is the value medians gives,
+    whatever the number of threads.
+    """
     n_list = [int(n) for n in n_values]
+    wanted = _checked(n_list, reps, seed)
     base_list = list(baselines)
     if not base_list:
         raise ValueError("baselines must be non-empty")
-    points = []
-    for b in base_list:
-        values = medians(n_list, b.sigma_sq, reps, seed)
-        points += [MedianCurvePoint(n=n, sigma_sq=b.sigma_sq, median_mean=values[n]) for n in n_list]
-    return points
+    # Seeded here, before any worker starts: the first default_rng imports
+    # numpy.random, whose memory would otherwise land in a worker's malloc arena.
+    streams = [_stream(b.sigma_sq, seed) for b in base_list]
+    # Imported here: at module load it would add ~0.3 MB to commands that start no thread.
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = min(len(base_list), len(os.sched_getaffinity(0)))
+    with ThreadPoolExecutor(workers) as pool:
+        runs = list(pool.map(lambda b, rng: _run_stream(wanted, b.sigma_sq, reps, rng), base_list, streams))
+    return [
+        MedianCurvePoint(n=n, sigma_sq=b.sigma_sq, median_mean=values[n])
+        for b, values in zip(base_list, runs)
+        for n in n_list
+    ]
 
 
 def benchmark_award(summary: AwardSummary, thresholds: dict[float, float]) -> AwardBenchmark:

@@ -184,6 +184,19 @@ def test_award_fwci_sum_past_the_largest_float_is_a_data_error(tmp_path, command
     assert not (out / output).exists()
 
 
+def test_fit_on_fwci_values_summing_past_the_largest_float_is_a_data_error(tmp_path, capsys):
+    # The two huge values lie outside --range, so only naive_mean_all would see them.
+    path = tmp_path / "huge.csv"
+    rows = [[f"11/IA/{3000 + i % 5}", 2019, "article", repr(0.2 + 0.3 * i), 1, "t", f"W{i}"] for i in range(20)]
+    rows += [["11/IA/3009", 2019, "article", "1.7e308", 1, "t", f"H{i}"] for i in range(2)]
+    write_csv(path, list(CSV_COLUMNS), rows)
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(path), "--fits", "20", "--out", str(out)]) == 2
+    expected = "error: the eligible FWCI values sum past the largest float; no naive_mean_all\n"
+    assert assert_one_line_error(capsys) == expected
+    assert not (out / "fit_report.txt").exists()
+
+
 @pytest.mark.parametrize(
     "command,flag",
     [(["ingest"], "--input"), (["curve", "--n-list", "1,5", "--reps", "100"], "--out")],

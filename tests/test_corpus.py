@@ -129,6 +129,25 @@ def test_full_width_digits_do_not_make_a_second_award():
     assert [(r.row, r.reason) for r in rejections] == [(3, "award code does not match YY/IA/XXXX")]
 
 
+def test_digit_separators_are_rejected():
+    # int() and float() read "1_0" as 10: a typo would pass as a tenfold value.
+    lines = [
+        "12/IA/1570,2_014,article,1.0,5,t,a1",
+        "12/IA/1570,2014,article,1_0,5,t,a2",
+        "12/IA/1570,2014,article,1.0,1_000,t,a3",
+    ]
+    reasons = ["year '2_014' is not an integer", "fwci '1_0' is not a number", "citations '1_000' is not an integer"]
+    records, rejections = corpus.parse_records(io.StringIO(HEADER + "\n".join(lines) + "\n"))
+    assert not records
+    assert [r.reason for r in rejections] == reasons
+    cells = [("2_014", "1.0", "5"), ("2014", "1_0", "5"), ("2014", "1.0", "1_000")]
+    objs = [{"award_code": "12/IA/1570", "year": y, "fwci": f, "citations": c} for y, f, c in cells]
+    text = "".join(json.dumps(obj) + "\n" for obj in objs)
+    records, rejections = corpus.parse_records(io.StringIO(text), fmt="jsonl")
+    assert not records
+    assert [r.reason for r in rejections] == reasons
+
+
 def test_parse_unknown_pub_type_maps_to_other():
     text = HEADER + "12/IA/1570,2014,data paper,1.0,5,t,a1\n"
     records, _ = corpus.parse_records(io.StringIO(text))
@@ -218,6 +237,12 @@ def test_csv_round_trip():
 # input the two must give equal records and equal rejections.
 
 
+def _ref_number(convert, text):
+    if "_" in text:
+        raise ValueError("digit separator")
+    return convert(text)
+
+
 def _ref_absent(value):
     return value is None or (isinstance(value, str) and value.strip() == "")
 
@@ -234,7 +259,7 @@ def _ref_record(fields, row, raw):
     if _ref_absent(year_raw):
         return RowRejection(row, "missing year", raw)
     try:
-        year = int(str(year_raw).strip())
+        year = _ref_number(int, str(year_raw).strip())
     except ValueError:
         return RowRejection(row, f"year {year_raw!r} is not an integer", raw)
     text = str(fields.get("pub_type", "")).strip().lower().replace(" ", "_").replace("-", "_")
@@ -243,7 +268,7 @@ def _ref_record(fields, row, raw):
     fwci_raw = fields.get("fwci")
     if not _ref_absent(fwci_raw):
         try:
-            fwci = float(str(fwci_raw).strip())
+            fwci = _ref_number(float, str(fwci_raw).strip())
         except ValueError:
             return RowRejection(row, f"fwci {fwci_raw!r} is not a number", raw)
         if not math.isfinite(fwci):
@@ -254,7 +279,7 @@ def _ref_record(fields, row, raw):
     cit_raw = fields.get("citations")
     if not _ref_absent(cit_raw):
         try:
-            citations = int(str(cit_raw).strip())
+            citations = _ref_number(int, str(cit_raw).strip())
         except ValueError:
             return RowRejection(row, f"citations {cit_raw!r} is not an integer", raw)
         if citations < 0:

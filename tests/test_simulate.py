@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from fwcibench.simulate import (
     VERDICT_BELOW,
     AwardBenchmark,
     BaselineField,
+    MedianCurvePoint,
     aggregate_benchmarks,
     benchmark_award,
     median_curve,
@@ -189,6 +192,54 @@ def test_curve_validation():
         median_curve([], [BaselineField(1.0)], 10, 1)
     with pytest.raises(ValueError):
         median_curve([1], [], 10, 1)
+
+
+# More baselines than a small machine has cores, in no particular order.
+FIVE_SIGMAS = (1.8, 0.5, 1.3, 2.2, 1.0)
+N_UNSORTED = [46, 1, 5, 46, 12, 1]
+
+
+def test_curve_on_worker_threads_equals_a_loop_over_medians():
+    points = median_curve(N_UNSORTED, [BaselineField(s) for s in FIVE_SIGMAS], 2000, 3)
+    expected = []
+    for s in FIVE_SIGMAS:
+        values = medians(N_UNSORTED, s, 2000, 3)
+        expected += [MedianCurvePoint(n=n, sigma_sq=s, median_mean=values[n]) for n in N_UNSORTED]
+    assert [(p.sigma_sq, p.n, p.median_mean.hex()) for p in points] == [
+        (p.sigma_sq, p.n, p.median_mean.hex()) for p in expected
+    ]
+
+
+@pytest.mark.parametrize("cores,workers", [({0}, 1), ({0, 1}, 2), (set(range(8)), 5)])
+def test_curve_points_do_not_depend_on_the_thread_count(monkeypatch, cores, workers):
+    baselines = [BaselineField(s) for s in FIVE_SIGMAS]
+    default = median_curve(N_UNSORTED, baselines, 2000, 3)
+    started = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    assert median_curve(N_UNSORTED, baselines, 2000, 3) == default
+    assert started == [workers]
+
+
+def test_median_that_underflows_in_a_worker_is_an_error():
+    with pytest.raises(NumericalError, match=r"sigma2 = 2000\.0, n = 1"):
+        median_curve([1], [BaselineField(1.0), BaselineField(2000.0)], 100, SEED)
+
+
+@pytest.mark.parametrize("reps,seed", [(0, 1), (10, -1)])
+def test_curve_arguments_are_checked_before_any_thread_starts(monkeypatch, reps, seed):
+    def no_pool(max_workers):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    with pytest.raises(ValueError):
+        median_curve([1], [BaselineField(1.0), BaselineField(1.3)], reps, seed)
 
 
 # --- benchmark_award ---
