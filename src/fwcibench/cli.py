@@ -39,6 +39,7 @@ EXIT_NUMERIC = 3
 # width 0.1, and log-value bins of width 0.2 over [-5, 3) with zeros shown
 # at ln(0.01).
 _LINEAR_BIN_WIDTH = 0.1
+_LINEAR_MAX_BINS = 10_000  # keeps the display view drawable whatever --range spans
 _LOG_LO = -5.0
 _LOG_HI = 3.0
 _LOG_BINS = 40
@@ -307,7 +308,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     # Display view: fixed-width bins for plotting plus one fit at that binning
     # so the drawn curve matches the drawn histogram.
-    n_display = max(int(round((fit_hi - fit_lo) / _LINEAR_BIN_WIDTH)), 4)
+    n_display = round(min(max((fit_hi - fit_lo) / _LINEAR_BIN_WIDTH, 4), _LINEAR_MAX_BINS))
     display_hist = histogram.build_histogram(fit_values, fit_lo, fit_hi, n_display)
     try:
         display_fit = lognormal.fit_histogram(display_hist)

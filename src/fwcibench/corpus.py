@@ -135,9 +135,9 @@ def _parse_award_code(cell: object) -> tuple[str, str]:
 
 
 def _number(convert: Callable, text: str):
-    """``convert(text)`` for int or float, which alone would also read ``_`` digit separators (``1_0`` as 10)."""
-    if "_" in text:
-        raise ValueError(f"digit separator in {text!r}")
+    """``convert(text)`` for int or float, refusing the ``_`` separators and non-ASCII digits they read (``1_0``, ``１０``)."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"digit separator or non-ASCII character in {text!r}")
     return convert(text)
 
 
@@ -147,9 +147,10 @@ def _parse_year(cell: object) -> tuple[int, str]:
     if not text:
         return 0, "missing year"
     try:
-        return _number(int, text), ""
+        year = _number(int, text)
     except ValueError:
         return 0, f"year {cell!r} is not an integer"
+    return (year, "") if year > 0 else (0, f"year {cell!r} is not positive")
 
 
 def _record_from_fields(
@@ -420,7 +421,7 @@ def load_budgets(stream: TextIO) -> tuple[dict[str, float], list[RowRejection]]:
             rejections.append(RowRejection(line_num, f"award code {exc.reason}", ",".join(cells)))
             continue
         try:
-            amount = float(amount_cell)
+            amount = _number(float, amount_cell.strip())
         except ValueError:
             rejections.append(RowRejection(line_num, "budget_eur is not a number", ",".join(cells)))
             continue

@@ -11,9 +11,10 @@ generator stream, and every paper count reads its awards from the start of
 that stream, so the median for n depends only on the first n draws of each
 simulated award. Adding or reordering paper counts or baselines therefore
 never perturbs other results, and one sigma_sq's medians are correlated
-across n. The baselines of one curve run on worker threads, one per
-available core, each holding two reps-long arrays; no result depends on the
-number of threads.
+across n. The baselines of one curve share worker threads, one per available
+core, paper by paper; memory is one reps-long running sum per baseline plus
+one reps-long scratch array per worker, and no result depends on the number
+of threads.
 """
 
 from __future__ import annotations
@@ -127,30 +128,37 @@ def _stream(sigma_sq: float, seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), key]))
 
 
-def _run_stream(wanted: list[int], sigma_sq: float, reps: int, rng: np.random.Generator) -> dict[int, float]:
-    """The medians at each of the ascending paper counts in wanted, drawn from rng (see medians)."""
+def _stepper(wanted: list[int], sigma_sq: float, reps: int, rng: np.random.Generator):
+    """(step, medians): step(scratch) draws one baseline's next paper into its running sum (see medians).
+
+    scratch is a reps-long array lent for one call; between calls only the running
+    sum and rng are held. step fills medians as each n in wanted is reached, and
+    returns False once the largest is.
+    """
     params = BaselineField(sigma_sq).params
     total = np.zeros(reps)
-    draw = np.empty(reps)
     out: dict[int, float] = {}
-    drawn = 0
-    for n in wanted:
-        for _ in range(n - drawn):
-            # in place: sample_lognormal's fresh arrays per paper cost ~60% more time
-            rng.standard_normal(out=draw)
-            draw *= params.sigma
-            draw += params.mu
-            np.exp(draw, out=draw)
-            total += draw
-        drawn = n
-        # The median partitions a copy of total in the idle draw buffer; np.median
-        # averages the two central order statistics when reps is even.
-        np.copyto(draw, total)
-        median = float(np.median(draw, overwrite_input=True)) / n
-        if not median > 0:
-            raise NumericalError(f"simulated median of means underflows to {median!r} at sigma2 = {sigma_sq!r}, n = {n}")
-        out[n] = median
-    return out
+    papers = iter(range(1, wanted[-1] + 1))
+
+    def step(scratch: np.ndarray) -> bool:
+        n = next(papers)
+        # in place: sample_lognormal's fresh arrays per paper cost ~60% more time
+        rng.standard_normal(out=scratch)
+        scratch *= params.sigma
+        scratch += params.mu
+        np.exp(scratch, out=scratch)
+        np.add(total, scratch, out=total)
+        if n == wanted[len(out)]:
+            # The median partitions a copy of total in scratch; np.median
+            # averages the two central order statistics when reps is even.
+            np.copyto(scratch, total)
+            median = float(np.median(scratch, overwrite_input=True)) / n
+            if not median > 0:
+                raise NumericalError(f"simulated median of means underflows to {median!r} at sigma2 = {sigma_sq!r}, n = {n}")
+            out[n] = median
+        return n < wanted[-1]
+
+    return step, out
 
 
 def medians(n_values, sigma_sq: float, reps: int, seed: int) -> dict[int, float]:
@@ -162,11 +170,15 @@ def medians(n_values, sigma_sq: float, reps: int, seed: int) -> dict[int, float]
     each rep: a result for n depends only on the first n * reps values of
     the stream, and adding paper counts or baselines never moves another
     result. Because every n reads the same draws, one sigma_sq's medians are
-    correlated across n. Memory is two reps-long arrays, two per worker
-    thread when median_curve runs several baselines at once; time grows with
+    correlated across n. Memory is two reps-long arrays, the running sum and
+    a scratch array for each paper's draws and the median; time grows with
     reps * max(n_values).
     """
-    return _run_stream(_checked(n_values, reps, seed), sigma_sq, reps, _stream(sigma_sq, seed))
+    step, out = _stepper(_checked(n_values, reps, seed), sigma_sq, reps, _stream(sigma_sq, seed))
+    scratch = np.empty(reps)
+    while step(scratch):
+        pass
+    return out
 
 
 def median_of_means(n: int, baseline: BaselineField, reps: int, seed: int) -> MedianCurvePoint:
@@ -178,9 +190,11 @@ def median_of_means(n: int, baseline: BaselineField, reps: int, seed: int) -> Me
 def median_curve(n_values, baselines, reps: int, seed: int) -> list[MedianCurvePoint]:
     """One MedianCurvePoint per (baseline, n) combination, grouped by baseline.
 
-    The baselines' streams are independent, so they run concurrently, one
-    worker thread per available core; each point is the value medians gives,
-    whatever the number of threads.
+    One worker thread per available core (at most one per baseline) advances
+    the independent baseline streams paper by paper from a shared ready queue.
+    Only one worker holds a baseline at a time, so each point is the value
+    medians gives, whatever the number of threads. Memory is one reps-long
+    running sum per baseline plus one reps-long scratch array per worker.
     """
     n_list = [int(n) for n in n_values]
     wanted = _checked(n_list, reps, seed)
@@ -189,13 +203,31 @@ def median_curve(n_values, baselines, reps: int, seed: int) -> list[MedianCurveP
         raise ValueError("baselines must be non-empty")
     # Seeded here, before any worker starts: the first default_rng imports
     # numpy.random, whose memory would otherwise land in a worker's malloc arena.
-    streams = [_stream(b.sigma_sq, seed) for b in base_list]
+    steps, runs = zip(*[_stepper(wanted, b.sigma_sq, reps, _stream(b.sigma_sq, seed)) for b in base_list])
     # Imported here: at module load it would add ~0.3 MB to commands that start no thread.
     from concurrent.futures import ThreadPoolExecutor
 
+    ready = list(range(len(steps)))  # a FIFO of baselines; pop(0) and append are atomic
+    failed: list[int] = []
+
+    def work(_) -> None:
+        scratch = np.empty(reps)
+        while not failed:  # after an error, every worker stops at its next step
+            try:
+                i = ready.pop(0)
+            except IndexError:
+                return  # every unfinished baseline is held by another worker
+            try:
+                more = steps[i](scratch)
+            except BaseException:
+                failed.append(i)
+                raise
+            if more:
+                ready.append(i)
+
     workers = min(len(base_list), len(os.sched_getaffinity(0)))
     with ThreadPoolExecutor(workers) as pool:
-        runs = list(pool.map(lambda b, rng: _run_stream(wanted, b.sigma_sq, reps, rng), base_list, streams))
+        list(pool.map(work, range(workers)))
     return [
         MedianCurvePoint(n=n, sigma_sq=b.sigma_sq, median_mean=values[n])
         for b, values in zip(base_list, runs)

@@ -369,6 +369,17 @@ def test_fit_writes_report_and_series(corpus_path, tmp_path, capsys):
     assert sum(int(r["count"]) for r in rows) > 500
 
 
+def test_fit_display_view_bin_count_is_capped(tmp_path):
+    # 0.1-wide display bins over 0:1e300 would number 1e301
+    path = tmp_path / "wide.csv"
+    rows = [[f"11/IA/{3000 + i % 5}", 2019, "article", repr(2.4e298 * (i + 1)), 1, "t", f"W{i}"] for i in range(40)]
+    write_csv(path, list(CSV_COLUMNS), rows)
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(path), "--range", "0:1e300", "--fits", "20", "--out", str(out)]) == 0
+    with open(out / "hist_linear.csv", encoding="utf-8") as fh:
+        assert len(fh.readlines()) == cli._LINEAR_MAX_BINS + 1
+
+
 def test_fit_rerun_is_byte_identical(corpus_path, tmp_path):
     out = tmp_path / "out"
     assert cli.main(fit_args(corpus_path, out)) == 0

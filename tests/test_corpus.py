@@ -148,6 +148,33 @@ def test_digit_separators_are_rejected():
     assert [r.reason for r in rejections] == reasons
 
 
+def test_non_ascii_digits_are_rejected():
+    # int() and float() read full-width and Arabic-Indic digits as ASCII ones.
+    lines = [
+        "12/IA/1570,２０１４,article,1.0,5,t,a1",
+        "12/IA/1570,2014,article,１０,5,t,a2",
+        "12/IA/1570,2014,article,1.0,３,t,a3",
+        "12/IA/1570,\u0662\u0660,article,1.0,5,t,a4",
+    ]
+    records, rejections = corpus.parse_records(io.StringIO(HEADER + "\n".join(lines) + "\n"))
+    assert not records
+    assert [r.reason for r in rejections] == [
+        "year '２０１４' is not an integer",
+        "fwci '１０' is not a number",
+        "citations '３' is not an integer",
+        "year '\u0662\u0660' is not an integer",
+    ]
+
+
+def test_non_positive_years_are_rejected():
+    lines = ["12/IA/1570,-3,article,1.0,5,t,a1", "12/IA/1570,0,article,1.0,5,t,a2", "12/IA/1570,+7,article,1.0,5,t,a3"]
+    records, rejections = corpus.parse_records(io.StringIO(HEADER + "\n".join(lines) + "\n"))
+    assert [r.year for r in records] == [7]
+    assert [r.reason for r in rejections] == ["year '-3' is not positive", "year '0' is not positive"]
+    records, rejections = corpus.parse_records(io.StringIO('{"award_code": "12/IA/1570", "year": -3}\n'), fmt="jsonl")
+    assert not records and [r.reason for r in rejections] == ["year -3 is not positive"]
+
+
 def test_parse_unknown_pub_type_maps_to_other():
     text = HEADER + "12/IA/1570,2014,data paper,1.0,5,t,a1\n"
     records, _ = corpus.parse_records(io.StringIO(text))
@@ -238,8 +265,8 @@ def test_csv_round_trip():
 
 
 def _ref_number(convert, text):
-    if "_" in text:
-        raise ValueError("digit separator")
+    if "_" in text or any(ord(c) > 127 for c in text):
+        raise ValueError("digit separator or non-ASCII character")
     return convert(text)
 
 
@@ -262,6 +289,8 @@ def _ref_record(fields, row, raw):
         year = _ref_number(int, str(year_raw).strip())
     except ValueError:
         return RowRejection(row, f"year {year_raw!r} is not an integer", raw)
+    if year <= 0:
+        return RowRejection(row, f"year {year_raw!r} is not positive", raw)
     text = str(fields.get("pub_type", "")).strip().lower().replace(" ", "_").replace("-", "_")
     pub_type = text if text in corpus.PUBLICATION_TYPES else "other"
     fwci = None
@@ -600,6 +629,13 @@ def test_load_budgets():
         (4, "budget_eur must be a finite non-negative amount"),
         (5, "budget_eur is not a number"),  # a short row reads its missing cell as empty
     ]
+
+
+def test_budget_amounts_are_read_like_record_numbers():
+    text = "award_code,budget_eur\n12/IA/1570,1_000\n12/IA/1571,１０\n12/IA/1572, 2500 \n"
+    budgets, rejections = corpus.load_budgets(io.StringIO(text))
+    assert budgets == {"12/IA/1572": 2500.0}
+    assert [(r.row, r.reason) for r in rejections] == [(2, "budget_eur is not a number"), (3, "budget_eur is not a number")]
 
 
 def test_load_budgets_missing_column():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fwcibench import simulate
 from fwcibench.corpus import AwardSummary
 from fwcibench.lognormal import LognormalParams, NumericalError, derived_stats
 from fwcibench.simulate import (
@@ -210,7 +211,7 @@ def test_curve_on_worker_threads_equals_a_loop_over_medians():
     ]
 
 
-@pytest.mark.parametrize("cores,workers", [({0}, 1), ({0, 1}, 2), (set(range(8)), 5)])
+@pytest.mark.parametrize("cores,workers", [({0}, 1), ({0, 1}, 2), (set(range(8)), 5), ({0, 1, 2}, 3)])
 def test_curve_points_do_not_depend_on_the_thread_count(monkeypatch, cores, workers):
     baselines = [BaselineField(s) for s in FIVE_SIGMAS]
     default = median_curve(N_UNSORTED, baselines, 2000, 3)
@@ -230,6 +231,27 @@ def test_curve_points_do_not_depend_on_the_thread_count(monkeypatch, cores, work
 def test_median_that_underflows_in_a_worker_is_an_error():
     with pytest.raises(NumericalError, match=r"sigma2 = 2000\.0, n = 1"):
         median_curve([1], [BaselineField(1.0), BaselineField(2000.0)], 100, SEED)
+
+
+def test_an_underflowing_baseline_stops_the_others_early(monkeypatch):
+    drawn = {}
+
+    class CountingStream:
+        def __init__(self, sigma_sq, seed):
+            self.sigma_sq, self.rng = sigma_sq, real_stream(sigma_sq, seed)
+            drawn[sigma_sq] = 0
+
+        def standard_normal(self, out):
+            drawn[self.sigma_sq] += 1
+            return self.rng.standard_normal(out=out)
+
+    real_stream = simulate._stream
+    monkeypatch.setattr(simulate, "_stream", CountingStream)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(NumericalError, match=r"sigma2 = 2000\.0, n = 1"):
+        median_curve([1, 400], [BaselineField(s) for s in (2000.0, 1.0, 1.3)], 20_000, SEED)
+    assert drawn[2000.0] == 1
+    assert drawn[1.0] < 400 and drawn[1.3] < 400
 
 
 @pytest.mark.parametrize("reps,seed", [(0, 1), (10, -1)])
