@@ -10,8 +10,9 @@ unreadable path); 2 data error, raised as corpus.DataError (malformed corpus,
 text that is not UTF-8, a CSV the csv module cannot read, nothing to process,
 fewer than 4 distinct values to fit, budgets, an award's FWCI values or all
 eligible FWCI values whose sum overflows); 3 numerical failure, raised as
-lognormal.NumericalError (every ensemble fit failed, a simulated median
-underflowed). Any other exception is a bug and ends the run with a traceback.
+lognormal.NumericalError (every ensemble fit failed, a fitted statistic
+overflowed, a simulated median underflowed). Any other exception is a bug and
+ends the run with a traceback.
 """
 
 from __future__ import annotations

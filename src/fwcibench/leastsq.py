@@ -79,7 +79,7 @@ def damped_least_squares(
                 p, r, cost = trial, r_trial, cost_trial
                 lam = max(lam * 0.1, 1e-12)
                 accepted = True
-                if math.sqrt(step @ step) <= 1e-10 * (1e-10 + math.sqrt(p @ p)):
+                if math.hypot(*step) <= 1e-10 * (1e-10 + math.hypot(*p)):  # hypot cannot overflow
                     converged = True
                 break
             lam *= 10.0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -27,7 +28,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class NumericalError(Exception):
-    """A computation broke down: every fit in an ensemble failed, or a simulated median underflowed."""
+    """A computation broke down: every ensemble fit failed, a derived statistic overflowed, or a simulated median underflowed."""
 
 
 @dataclass(frozen=True)
@@ -228,6 +229,9 @@ def ensemble_fit(
     ``n_failed`` counts the draws whose fit failed, not the distinct counts.
     All fits start from the log-sample moments of ``values``. Identical
     inputs give bit-identical results.
+
+    One strided share of the distinct counts per available core is fitted,
+    here or in a forked child; the result does not depend on the core count.
     """
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
@@ -247,13 +251,45 @@ def ensemble_fit(
 
     bin_counts, draw_of = np.unique(bin_draws, return_inverse=True)
     per_count = np.full((bin_counts.size, 2), np.nan)
-    for k, n_bins in enumerate(bin_counts):
-        try:
-            fit = fit_histogram(build_histogram(arr, lo, hi, int(n_bins)), init=init)
-        except ValueError:
-            continue
-        if fit.converged:
-            per_count[k] = fit.params.mu, fit.params.sigma
+    workers = min(len(os.sched_getaffinity(0)), bin_counts.size)
+
+    def fit_share(share: int) -> np.ndarray:
+        for k in range(share, bin_counts.size, workers):  # strided: the costly high counts spread evenly
+            try:
+                fit = fit_histogram(build_histogram(arr, lo, hi, int(bin_counts[k])), init=init)
+            except ValueError:
+                continue
+            if fit.converged:
+                per_count[k] = fit.params.mu, fit.params.sigma
+        return per_count[share::workers]
+
+    children = []  # (share, pid, read end of its pipe)
+    try:
+        for share in range(1, workers):
+            read_end, write_end = os.pipe()
+            if not (pid := os.fork()):  # the child leaves only through os._exit: no stdio flush, no atexit
+                try:
+                    os.close(read_end)
+                    with open(write_end, "wb") as fh:
+                        fh.write(fit_share(share).tobytes())
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_end)
+            children.append((share, pid, read_end))
+        fit_share(0)
+    except BaseException:
+        import signal  # here, not at module load, where it would add 0.4 ms to every launch
+        for _, pid, read_end in children:
+            os.kill(pid, signal.SIGKILL)
+            os.close(read_end)
+            os.waitpid(pid, 0)
+        raise
+    for share, pid, read_end in children:
+        with open(read_end, "rb") as fh:  # read to EOF first: a share can outgrow the pipe buffer
+            data = fh.read()
+        ok = os.waitpid(pid, 0)[1] == 0 and len(data) == per_count[share::workers].nbytes
+        per_count[share::workers] = np.frombuffer(data).reshape(-1, 2) if ok else fit_share(share)
     per_draw = per_count[draw_of]
     per_draw = per_draw[~np.isnan(per_draw[:, 0])]
     if not len(per_draw):
@@ -280,17 +316,25 @@ def derived_stats(params: LognormalParams) -> DerivedStats:
     mean = e^(mu + sigma^2/2), median = e^mu, mode = e^(mu - sigma^2); for
     sigma > 0 these are strictly ordered mode < median < mean. The interval
     endpoints are the distribution quantiles e^(mu +- z sigma) with z the
-    standard normal 97.5% quantile.
+    standard normal 97.5% quantile. A statistic past the largest float
+    raises NumericalError.
     """
     mu, sigma = params.mu, params.sigma
     z = NormalDist().inv_cdf(0.975)
-    return DerivedStats(
-        mean=math.exp(mu + 0.5 * sigma**2),
-        median=math.exp(mu),
-        mode=math.exp(mu - sigma**2),
-        interval95_lo=math.exp(mu - z * sigma),
-        interval95_hi=math.exp(mu + z * sigma),
-    )
+    exponents = {
+        "mean": mu + 0.5 * sigma**2,
+        "median": mu,
+        "mode": mu - sigma**2,
+        "interval95_lo": mu - z * sigma,
+        "interval95_hi": mu + z * sigma,
+    }
+    stats = {}
+    for name, exponent in exponents.items():
+        try:
+            stats[name] = math.exp(exponent)
+        except OverflowError:
+            raise NumericalError(f"the fitted lognormal's {name} e^{exponent:.6g} is past the largest float") from None
+    return DerivedStats(**stats)
 
 
 def percentile_of(x: float, params: LognormalParams) -> float:

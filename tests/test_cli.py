@@ -168,6 +168,17 @@ def test_budgets_summing_past_the_largest_float_are_a_data_error(corpus_path, tm
     assert assert_one_line_error(capsys).startswith(f"error: {budgets}: the budgets sum past the largest float")
 
 
+def test_fit_whose_mean_overflows_is_a_numerical_error(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    values = np.linspace(4e305, 8e306, 20)
+    rows = [[f"11/IA/{3000 + i % 5}", 2019, "article", repr(float(v)), 1, "t", f"W{i}"] for i, v in enumerate(values)]
+    write_csv(path, list(CSV_COLUMNS), rows)
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(path), "--range", "0:1.7e308", "--fits", "20", "--out", str(out)]) == 3
+    assert assert_one_line_error(capsys).startswith("error: the fitted lognormal's mean e^")
+    assert not (out / "fit_report.txt").exists()
+
+
 @pytest.mark.parametrize(
     "command,output",
     [(["ingest"], "award_summaries.csv"), (["benchmark", "--reps", "100"], "benchmark.csv")],

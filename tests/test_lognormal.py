@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -342,6 +345,106 @@ def test_ensemble_input_validation():
         ensemble_fit(vals, 0.0, 8.0, 800, 20, 10, seed=0)
     with pytest.raises(ValueError):
         ensemble_fit(vals, 0.0, 8.0, 20, 800, 0, seed=0)
+
+
+# --- ensemble_fit across worker processes ---
+
+
+def set_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def ensemble_args(trunc_sampler):
+    return (trunc_sampler(2000, P_FIT.mu, P_FIT.sigma, seed=31), 0.0, 8.0, 20, 300, 120)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_ensemble_does_not_depend_on_the_core_count(ensemble_args, monkeypatch, cores):
+    expected = per_draw_ensemble(*ensemble_args, seed=7)
+    set_cores(monkeypatch, cores)
+    assert ensemble_fit(*ensemble_args, seed=7) == expected
+    assert_no_child_left()
+
+
+def test_ensemble_refits_the_share_of_a_failed_child(ensemble_args, monkeypatch):
+    expected = per_draw_ensemble(*ensemble_args, seed=7)
+    caller, real_fit = os.getpid(), lognormal.fit_histogram
+
+    def fit_or_die(hist, init=None):
+        if os.getpid() != caller:
+            os._exit(1)
+        return real_fit(hist, init=init)
+
+    monkeypatch.setattr(lognormal, "fit_histogram", fit_or_die)
+    set_cores(monkeypatch, 3)
+    assert ensemble_fit(*ensemble_args, seed=7) == expected
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_ensemble_reaps_its_children_when_the_callers_share_raises(ensemble_args, monkeypatch, error):
+    caller = os.getpid()
+
+    def hang_or_raise(hist, init=None):
+        if os.getpid() != caller:
+            time.sleep(20)
+        raise error("stop")
+
+    monkeypatch.setattr(lognormal, "fit_histogram", hang_or_raise)
+    set_cores(monkeypatch, 3)
+    start = time.monotonic()
+    with pytest.raises(error, match="stop"):
+        ensemble_fit(*ensemble_args, seed=7)
+    assert time.monotonic() - start < 10
+    assert_no_child_left()
+
+
+def test_ensemble_with_one_distinct_bin_count_forks_nothing(ensemble_args, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    set_cores(monkeypatch, 3)
+    draws, lo, hi = ensemble_args[:3]
+    assert ensemble_fit(draws, lo, hi, 60, 60, 10, seed=1) == per_draw_ensemble(draws, lo, hi, 60, 60, 10, seed=1)
+
+
+def test_ensemble_share_larger_than_a_pipe_buffer_comes_back_whole(monkeypatch):
+    calls = []  # the caller's fits only: a child's appends stay in the child
+
+    def fake_fit(n_bins, init=None):
+        calls.append(n_bins)
+        params = LognormalParams(mu=float(n_bins), sigma=1.0 + n_bins % 7)
+        return lognormal.LognormalFit(1.0, params, n_bins, 0.0, converged=n_bins % 3 > 0)
+
+    monkeypatch.setattr(lognormal, "build_histogram", lambda arr, lo, hi, n_bins: n_bins)
+    monkeypatch.setattr(lognormal, "fit_histogram", fake_fit)
+    args = (np.array([1.0]), 0.0, 8.0, 1, 20_000, 50_000)
+    set_cores(monkeypatch, 1)
+    serial = ensemble_fit(*args, seed=2)
+    n_counts = len(calls)
+    assert n_counts // 2 * 16 > 65_536
+    calls.clear()
+    set_cores(monkeypatch, 2)
+
+    def timeout(signum, frame):
+        raise TimeoutError("the caller waited on a child that waits on a full pipe")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        assert ensemble_fit(*args, seed=2) == serial
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(calls) == (n_counts + 1) // 2  # the child's share was not refitted here
+    assert_no_child_left()
 
 
 # --- derived_stats ---
