@@ -15,8 +15,8 @@ cut, ``benchmark``, ``benchmark`` with five unsorted ``--sigma2`` values,
 ``curve``, and ``curve`` with the same five values and an unsorted
 ``--n-list``, each in its own subdirectory of OUT_DIR, with small ensembles
 and Monte Carlo sizes so the whole run takes seconds. Five baselines are more
-than a small machine has cores, so the Monte Carlo's worker threads share
-them paper by paper.
+than a small machine has cores, so the Monte Carlo's worker threads, one per
+baseline, take turns on the cores.
 Each command's stdout is kept as ``stdout.txt`` beside its output files.
 """
 

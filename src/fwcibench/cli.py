@@ -151,6 +151,17 @@ _n_list = _flag_type(
 )
 
 
+def _distinct(values, what: str) -> list:
+    """values without repeats, first occurrence kept, with a warning for each repeat dropped."""
+    kept: list = []
+    for v in values:
+        if v in kept:
+            print(f"warning: duplicate {what} {v!r} ignored", file=sys.stderr)
+        else:
+            kept.append(v)
+    return kept
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fwcibench",
@@ -396,6 +407,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
+    args.sigma2 = _distinct(args.sigma2, "sigma2")
     data = _load_corpus(args)
     summaries = corpus.summarize_awards(data.eligible, data.budgets)
     # One Monte Carlo run serves every award; an empty portfolio simulates nothing.
@@ -450,13 +462,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    n_list: list[int] = []
-    for n in args.n_list:
-        if n in n_list:
-            print(f"warning: duplicate paper count {n} ignored", file=sys.stderr)
-        else:
-            n_list.append(n)
-
+    n_list = _distinct(args.n_list, "paper count")
+    args.sigma2 = _distinct(args.sigma2, "sigma2")
     baselines = [simulate.BaselineField(s) for s in args.sigma2]
     points = simulate.median_curve(n_list, baselines, args.reps, args.seed)
 

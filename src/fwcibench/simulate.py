@@ -11,16 +11,14 @@ generator stream, and every paper count reads its awards from the start of
 that stream, so the median for n depends only on the first n draws of each
 simulated award. Adding or reordering paper counts or baselines therefore
 never perturbs other results, and one sigma_sq's medians are correlated
-across n. The baselines of one curve share worker threads, one per available
-core, paper by paper; memory is one reps-long running sum per baseline plus
-one reps-long scratch array per worker, and no result depends on the number
-of threads.
+across n. Each baseline of a curve runs as one task on a default-sized thread
+pool; memory is two reps-long arrays per baseline in flight, and no result
+depends on the number of threads.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,37 +126,38 @@ def _stream(sigma_sq: float, seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), key]))
 
 
-def _stepper(wanted: list[int], sigma_sq: float, reps: int, rng: np.random.Generator):
-    """(step, medians): step(scratch) draws one baseline's next paper into its running sum (see medians).
+def _run(wanted: list[int], sigma_sq: float, reps: int, rng: np.random.Generator, failed: list) -> dict[int, float]:
+    """One baseline's medians at each n in wanted (see medians), drawn from rng.
 
-    scratch is a reps-long array lent for one call; between calls only the running
-    sum and rng are held. step fills medians as each n in wanted is reached, and
-    returns False once the largest is.
+    Stops at its next paper, returning the medians so far, once failed is
+    non-empty; appends sigma_sq to failed if it raises itself.
     """
     params = BaselineField(sigma_sq).params
     total = np.zeros(reps)
+    scratch = np.empty(reps)
     out: dict[int, float] = {}
-    papers = iter(range(1, wanted[-1] + 1))
-
-    def step(scratch: np.ndarray) -> bool:
-        n = next(papers)
-        # in place: sample_lognormal's fresh arrays per paper cost ~60% more time
-        rng.standard_normal(out=scratch)
-        scratch *= params.sigma
-        scratch += params.mu
-        np.exp(scratch, out=scratch)
-        np.add(total, scratch, out=total)
-        if n == wanted[len(out)]:
-            # The median partitions a copy of total in scratch; np.median
-            # averages the two central order statistics when reps is even.
-            np.copyto(scratch, total)
-            median = float(np.median(scratch, overwrite_input=True)) / n
-            if not median > 0:
-                raise NumericalError(f"simulated median of means underflows to {median!r} at sigma2 = {sigma_sq!r}, n = {n}")
-            out[n] = median
-        return n < wanted[-1]
-
-    return step, out
+    try:
+        for n in range(1, wanted[-1] + 1):
+            if failed:
+                break
+            # in place: sample_lognormal's fresh arrays per paper cost ~60% more time
+            rng.standard_normal(out=scratch)
+            scratch *= params.sigma
+            scratch += params.mu
+            np.exp(scratch, out=scratch)
+            np.add(total, scratch, out=total)
+            if n == wanted[len(out)]:
+                # The median partitions a copy of total in scratch; np.median
+                # averages the two central order statistics when reps is even.
+                np.copyto(scratch, total)
+                median = float(np.median(scratch, overwrite_input=True)) / n
+                if not median > 0:
+                    raise NumericalError(f"simulated median of means underflows to {median!r} at sigma2 = {sigma_sq!r}, n = {n}")
+                out[n] = median
+    except BaseException:
+        failed.append(sigma_sq)
+        raise
+    return out
 
 
 def medians(n_values, sigma_sq: float, reps: int, seed: int) -> dict[int, float]:
@@ -172,29 +171,18 @@ def medians(n_values, sigma_sq: float, reps: int, seed: int) -> dict[int, float]
     result. Because every n reads the same draws, one sigma_sq's medians are
     correlated across n. Memory is two reps-long arrays, the running sum and
     a scratch array for each paper's draws and the median; time grows with
-    reps * max(n_values).
+    reps * max(n_values). median_curve gives the same values for many baselines.
     """
-    step, out = _stepper(_checked(n_values, reps, seed), sigma_sq, reps, _stream(sigma_sq, seed))
-    scratch = np.empty(reps)
-    while step(scratch):
-        pass
-    return out
-
-
-def median_of_means(n: int, baseline: BaselineField, reps: int, seed: int) -> MedianCurvePoint:
-    """The median award mean over reps simulated awards of n papers each (see medians)."""
-    value = medians([n], baseline.sigma_sq, reps, seed)[n]
-    return MedianCurvePoint(n=int(n), sigma_sq=baseline.sigma_sq, median_mean=value)
+    return _run(_checked(n_values, reps, seed), sigma_sq, reps, _stream(sigma_sq, seed), [])
 
 
 def median_curve(n_values, baselines, reps: int, seed: int) -> list[MedianCurvePoint]:
     """One MedianCurvePoint per (baseline, n) combination, grouped by baseline.
 
-    One worker thread per available core (at most one per baseline) advances
-    the independent baseline streams paper by paper from a shared ready queue.
-    Only one worker holds a baseline at a time, so each point is the value
-    medians gives, whatever the number of threads. Memory is one reps-long
-    running sum per baseline plus one reps-long scratch array per worker.
+    Each baseline runs its whole stream as one task on a default-sized thread
+    pool, so each point is the value medians gives, whatever the number of
+    threads; after one baseline fails, the others stop at their next paper.
+    Memory is two reps-long arrays per baseline in flight.
     """
     n_list = [int(n) for n in n_values]
     wanted = _checked(n_list, reps, seed)
@@ -203,31 +191,13 @@ def median_curve(n_values, baselines, reps: int, seed: int) -> list[MedianCurveP
         raise ValueError("baselines must be non-empty")
     # Seeded here, before any worker starts: the first default_rng imports
     # numpy.random, whose memory would otherwise land in a worker's malloc arena.
-    steps, runs = zip(*[_stepper(wanted, b.sigma_sq, reps, _stream(b.sigma_sq, seed)) for b in base_list])
+    streams = [_stream(b.sigma_sq, seed) for b in base_list]
     # Imported here: at module load it would add ~0.3 MB to commands that start no thread.
     from concurrent.futures import ThreadPoolExecutor
 
-    ready = list(range(len(steps)))  # a FIFO of baselines; pop(0) and append are atomic
-    failed: list[int] = []
-
-    def work(_) -> None:
-        scratch = np.empty(reps)
-        while not failed:  # after an error, every worker stops at its next step
-            try:
-                i = ready.pop(0)
-            except IndexError:
-                return  # every unfinished baseline is held by another worker
-            try:
-                more = steps[i](scratch)
-            except BaseException:
-                failed.append(i)
-                raise
-            if more:
-                ready.append(i)
-
-    workers = min(len(base_list), len(os.sched_getaffinity(0)))
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(work, range(workers)))
+    failed: list[float] = []
+    with ThreadPoolExecutor() as pool:
+        runs = list(pool.map(lambda b, rng: _run(wanted, b.sigma_sq, reps, rng, failed), base_list, streams))
     return [
         MedianCurvePoint(n=n, sigma_sq=b.sigma_sq, median_mean=values[n])
         for b, values in zip(base_list, runs)

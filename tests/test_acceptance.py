@@ -36,7 +36,6 @@ from fwcibench.simulate import (
     BaselineField,
     aggregate_benchmarks,
     benchmark_award,
-    median_of_means,
     medians,
     sample_lognormal,
 )
@@ -47,15 +46,14 @@ REPS = 100_000
 
 def test_c01_single_paper_median_sigma13_under_one_second():
     t0 = time.perf_counter()
-    point = median_of_means(1, BaselineField(1.3), REPS, SEED)
+    value = medians([1], 1.3, REPS, SEED)[1]
     elapsed = time.perf_counter() - t0
-    value = point.median_mean
     assert abs(value - 0.522) <= 0.005, f"median {value!r} outside 0.522 +/- 0.005"
     assert elapsed < 1.0, f"took {elapsed:.2f} s, budget 1 s"
 
 
 def test_c02_single_paper_median_sigma10():
-    value = median_of_means(1, BaselineField(1.0), REPS, SEED).median_mean
+    value = medians([1], 1.0, REPS, SEED)[1]
     assert abs(value - 0.607) <= 0.005, f"median {value!r} outside 0.607 +/- 0.005"
 
 
@@ -63,10 +61,10 @@ def test_c03_median_accuracy_at_typical_and_large_awards():
     t0 = time.perf_counter()
     failures = []
     for sigma_sq in (1.0, 1.3, 1.8):
-        value = median_of_means(46, BaselineField(sigma_sq), REPS, SEED).median_mean
+        value = medians([46], sigma_sq, REPS, SEED)[46]
         if abs(value - 1.0) > 0.10:
             failures.append(f"n=46 sigma2={sigma_sq}: {value!r} off by more than 10%")
-    value_400 = median_of_means(400, BaselineField(1.8), REPS, SEED).median_mean
+    value_400 = medians([400], 1.8, REPS, SEED)[400]
     if abs(value_400 - 1.0) > 0.01:
         # Not a seed artifact: three independent 1,000,000-rep runs put the
         # true median at 0.989158 +/- 0.0002, a 1.08% shortfall from 1.0, so

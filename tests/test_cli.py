@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fwcibench import cli
 from fwcibench.corpus import CSV_COLUMNS
-from fwcibench.simulate import BaselineField, median_of_means
+from fwcibench.simulate import BaselineField, median_curve
 
 FIT_FILES = (
     "hist_linear.csv",
@@ -535,7 +535,7 @@ def test_curve_matches_library_values(corpus_path, tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 9
     for row in rows:
-        point = median_of_means(int(row["n"]), BaselineField(float(row["sigma_sq"])), 2000, 3)
+        point = median_curve([int(row["n"])], [BaselineField(float(row["sigma_sq"]))], 2000, 3)[0]
         assert float(row["median_mean"]) == point.median_mean
         assert int(row["reps"]) == 2000 and int(row["seed"]) == 3
     assert (out / "curve_report.txt").read_text(encoding="utf-8").count("points = 9") == 1
@@ -550,6 +550,35 @@ def test_curve_dedupes_n_list(corpus_path, tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
     with open(out / "median_curve.csv", encoding="utf-8", newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 3
+
+
+@pytest.mark.parametrize(
+    "command,output,columns,echoed",
+    [
+        (
+            ["benchmark", "--sigma2", "1.0,1,1.3"],
+            "benchmark.csv",
+            ["award_code", "n_papers", "observed_mean", "threshold_1.0", "verdict_1.0", "threshold_1.3", "verdict_1.3"],
+            "1.0,1.3",
+        ),
+        (["curve", "--sigma2", "1.0,1", "--n-list", "1,5"], "median_curve.csv", None, "1.0"),
+    ],
+    ids=["benchmark", "curve"],
+)
+def test_duplicate_sigma2_is_simulated_once(corpus_path, tmp_path, command, output, columns, echoed, capsys):
+    out = tmp_path / "out"
+    code = cli.main([*command, "--input", str(corpus_path), "--out", str(out), "--reps", "500"])
+    assert code == 0
+    assert capsys.readouterr().err.count("warning: duplicate sigma2 1.0 ignored") == 1
+    with open(out / output, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    if columns:
+        assert reader.fieldnames == columns
+    else:
+        assert [(r["sigma_sq"], r["n"]) for r in rows] == [("1.0", "1"), ("1.0", "5")]
+    report = next(out.glob("*_report.txt")).read_text(encoding="utf-8")
+    assert f"  sigma2 = {echoed}\n" in report
 
 
 @pytest.mark.parametrize(

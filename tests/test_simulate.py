@@ -1,6 +1,6 @@
 import concurrent.futures
 import math
-import os
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from fwcibench.simulate import (
     aggregate_benchmarks,
     benchmark_award,
     median_curve,
-    median_of_means,
     medians,
     sample_lognormal,
 )
@@ -92,31 +91,31 @@ def test_sample_requires_positive_n():
         sample_lognormal(BaselineField(1.0).params, 0, np.random.default_rng(0))
 
 
-# --- median_of_means ---
+# --- medians ---
 
 
 def test_median_of_means_deterministic():
-    a = median_of_means(3, BaselineField(1.3), 2000, 7)
-    b = median_of_means(3, BaselineField(1.3), 2000, 7)
+    a = medians([3], 1.3, 2000, 7)[3]
+    b = medians([3], 1.3, 2000, 7)[3]
     assert a == b
 
 
 def test_median_of_means_seed_sensitivity_is_small():
-    a = median_of_means(1, BaselineField(1.3), REPS, SEED)
-    b = median_of_means(1, BaselineField(1.3), REPS, SEED + 50)
+    a = median_curve([1], [BaselineField(1.3)], REPS, SEED)[0]
+    b = median_curve([1], [BaselineField(1.3)], REPS, SEED + 50)[0]
     assert a.median_mean != b.median_mean
     assert abs(a.median_mean - b.median_mean) < 0.005
 
 
 @pytest.mark.parametrize("sigma_sq", SIGMAS)
 def test_single_paper_median_is_distribution_median(sigma_sq):
-    point = median_of_means(1, BaselineField(sigma_sq), REPS, SEED)
+    point = median_curve([1], [BaselineField(sigma_sq)], REPS, SEED)[0]
     assert point.median_mean == pytest.approx(math.exp(-sigma_sq / 2), abs=0.005)
 
 
 def test_median_of_means_monotone_in_n():
     values = [
-        median_of_means(n, BaselineField(1.3), REPS, SEED).median_mean
+        medians([n], 1.3, REPS, SEED)[n]
         for n in (1, 5, 20, 46, 100, 400)
     ]
     assert all(v < 1.0 for v in values)
@@ -151,16 +150,16 @@ def test_medians_equal_median_of_direct_means():
 def test_median_that_underflows_is_an_error():
     # mu = -1000: the median draw, e^-1000, underflows to 0
     with pytest.raises(NumericalError, match=r"sigma2 = 2000\.0, n = 1"):
-        median_of_means(1, BaselineField(2000.0), 100, SEED)
+        medians([1], 2000.0, 100, SEED)
 
 
 def test_median_of_means_validation():
     with pytest.raises(ValueError):
-        median_of_means(0, BaselineField(1.0), 10, 1)
+        medians([0], 1.0, 10, 1)
     with pytest.raises(ValueError):
-        median_of_means(1, BaselineField(1.0), 0, 1)
+        medians([1], 1.0, 0, 1)
     with pytest.raises(ValueError):
-        median_of_means(1, BaselineField(1.0), 10, -1)
+        medians([1], 1.0, 10, -1)
 
 
 # --- median_curve ---
@@ -170,7 +169,7 @@ def test_curve_shape_and_values():
     points = median_curve([1, 46], [BaselineField(s) for s in SIGMAS], 2000, 3)
     assert len(points) == 6
     assert [(p.sigma_sq, p.n) for p in points] == [(s, n) for s in SIGMAS for n in (1, 46)]
-    direct = median_of_means(46, BaselineField(1.3), 2000, 3)
+    direct = median_curve([46], [BaselineField(1.3)], 2000, 3)[0]
     match = [p for p in points if p.n == 46 and p.sigma_sq == 1.3]
     assert match[0] == direct
 
@@ -211,21 +210,29 @@ def test_curve_on_worker_threads_equals_a_loop_over_medians():
     ]
 
 
-@pytest.mark.parametrize("cores,workers", [({0}, 1), ({0, 1}, 2), (set(range(8)), 5), ({0, 1, 2}, 3)])
-def test_curve_points_do_not_depend_on_the_thread_count(monkeypatch, cores, workers):
-    baselines = [BaselineField(s) for s in FIVE_SIGMAS]
-    default = median_curve(N_UNSORTED, baselines, 2000, 3)
-    started = []
+def test_curve_threads_stay_within_the_pool_default(monkeypatch):
+    # One task per baseline: forty baselines run on the executor's default
+    # number of threads, never on one thread each.
+    sigmas = [0.1 * k for k in range(1, 41)]
+    expected = [medians(N_UNSORTED, s, 200, 3) for s in sigmas]
+    live = []
 
-    class CountingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers)
+    class SampledStream:
+        def __init__(self, sigma_sq, seed):
+            self.rng = real_stream(sigma_sq, seed)
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-    assert median_curve(N_UNSORTED, baselines, 2000, 3) == default
-    assert started == [workers]
+        def standard_normal(self, out):
+            live.append(threading.active_count() - 1)  # less the calling thread
+            return self.rng.standard_normal(out=out)
+
+    real_stream = simulate._stream
+    monkeypatch.setattr(simulate, "_stream", SampledStream)
+    points = median_curve(N_UNSORTED, [BaselineField(s) for s in sigmas], 200, 3)
+    assert [(p.sigma_sq, p.n, p.median_mean) for p in points] == [
+        (s, n, values[n]) for s, values in zip(sigmas, expected) for n in N_UNSORTED
+    ]
+    assert len(live) == 40 * 46
+    assert 1 <= max(live) <= concurrent.futures.ThreadPoolExecutor()._max_workers
 
 
 def test_median_that_underflows_in_a_worker_is_an_error():
@@ -247,7 +254,6 @@ def test_an_underflowing_baseline_stops_the_others_early(monkeypatch):
 
     real_stream = simulate._stream
     monkeypatch.setattr(simulate, "_stream", CountingStream)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(NumericalError, match=r"sigma2 = 2000\.0, n = 1"):
         median_curve([1, 400], [BaselineField(s) for s in (2000.0, 1.0, 1.3)], 20_000, SEED)
     assert drawn[2000.0] == 1
@@ -256,7 +262,7 @@ def test_an_underflowing_baseline_stops_the_others_early(monkeypatch):
 
 @pytest.mark.parametrize("reps,seed", [(0, 1), (10, -1)])
 def test_curve_arguments_are_checked_before_any_thread_starts(monkeypatch, reps, seed):
-    def no_pool(max_workers):
+    def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
@@ -285,7 +291,7 @@ def test_benchmark_zero_mean_always_below():
 
 
 def test_benchmark_tie_counts_as_above():
-    threshold = median_of_means(3, BaselineField(1.3), 2000, 7).median_mean
+    threshold = medians([3], 1.3, 2000, 7)[3]
     bench = benchmark_award(summary(n=3, mean=threshold), thresholds_at(3, [1.3], 2000, 7))
     assert bench.verdicts[1.3] == VERDICT_ABOVE
 
