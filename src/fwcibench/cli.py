@@ -10,26 +10,29 @@ unreadable path); 2 data error, raised as corpus.DataError (malformed corpus,
 text that is not UTF-8, a CSV the csv module cannot read, nothing to process,
 fewer than 4 distinct values to fit, budgets, an award's FWCI values or all
 eligible FWCI values whose sum overflows); 3 numerical failure, raised as
-lognormal.NumericalError (every ensemble fit failed, a fitted statistic
-overflowed, a simulated median underflowed). Any other exception is a bug and
-ends the run with a traceback.
+corpus.NumericalError, which lognormal re-exports (every ensemble fit failed, a
+fitted statistic overflowed, a simulated median underflowed). Any other
+exception is a bug and ends the run with a traceback.
+
+Both error classes live in corpus, so ``ingest``, ``--help`` and a usage error
+never import NumPy: the numerical modules are imported inside the commands
+that use them. The cyclic garbage collector is off while a command runs,
+because a run builds many objects and no reference cycles worth collecting.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import logging
 import math
 import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import corpus, histogram, lognormal, simulate
-from .corpus import DataError
-from .lognormal import LognormalParams, NumericalError
+from . import corpus
+from .corpus import DataError, NumericalError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,7 +66,8 @@ def _config_lines(args: argparse.Namespace) -> list[str]:
         f"  range = {args.range[0]!r}:{args.range[1]!r}",
         f"  bins = {args.bins[0]}:{args.bins[1]}",
         f"  fits = {args.fits}",
-        f"  sigma2 = {','.join(repr(s) for s in args.sigma2)}",
+        # each value once, as benchmark and curve run them
+        f"  sigma2 = {','.join(repr(s) for s in dict.fromkeys(args.sigma2))}",
         f"  reps = {args.reps}",
         f"  seed = {args.seed}",
         f"  out = {_shown(args.out)}",
@@ -101,8 +105,10 @@ def _write_series(args: argparse.Namespace, name: str, header: list[str], xs, ys
     _write_csv(_out_path(args, name), header, [[_fmt(x), _fmt(y)] for x, y in zip(xs, ys)])
 
 
-def _grid(lo: float, hi: float) -> np.ndarray:
+def _grid(lo: float, hi: float):
     """Midpoints of _CURVE_POINTS equal steps over [lo, hi], where a curve is drawn."""
+    import numpy as np
+
     return lo + (np.arange(_CURVE_POINTS) + 0.5) * (hi - lo) / _CURVE_POINTS
 
 
@@ -287,6 +293,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import histogram, lognormal
+
     fit_lo, fit_hi = args.range
     eligible = _load_corpus(args).eligible
     if not eligible:
@@ -315,7 +325,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     ensemble = lognormal.ensemble_fit(
         fit_values, fit_lo, fit_hi, *args.bins, args.fits, args.seed
     )
-    central = LognormalParams(mu=ensemble.mu_p50, sigma=ensemble.sigma_p50)
+    central = lognormal.LognormalParams(mu=ensemble.mu_p50, sigma=ensemble.sigma_p50)
     stats = lognormal.derived_stats(central)
 
     # Display view: fixed-width bins for plotting plus one fit at that binning
@@ -407,6 +417,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
+    from . import simulate
+
     args.sigma2 = _distinct(args.sigma2, "sigma2")
     data = _load_corpus(args)
     summaries = corpus.summarize_awards(data.eligible, data.budgets)
@@ -462,6 +474,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    from . import simulate
+
     n_list = _distinct(args.n_list, "paper count")
     args.sigma2 = _distinct(args.sigma2, "sigma2")
     baselines = [simulate.BaselineField(s) for s in args.sigma2]
@@ -487,6 +501,8 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return EXIT_OK if code == 0 else EXIT_USAGE
 
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except OSError as exc:
@@ -498,6 +514,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 PUBLICATION_TYPES = frozenset(
     {
@@ -48,6 +48,10 @@ class DataError(Exception):
     """The input cannot be used: not a readable table, not UTF-8 text, or nothing a command can compute on."""
 
 
+class NumericalError(Exception):
+    """A computation broke down: every ensemble fit failed, a derived statistic overflowed, or a simulated median underflowed."""
+
+
 def normalize_award_code(raw: str) -> str:
     """Normalize a grant identifier to the canonical ``YY/IA/XXXX`` form.
 
@@ -68,9 +72,14 @@ def normalize_award_code(raw: str) -> str:
     return code
 
 
-@dataclass(frozen=True, slots=True)
-class PublicationRecord:
-    """One publication attributed to an award, with its precomputed FWCI if any."""
+class PublicationRecord(NamedTuple):
+    """One publication attributed to an award, with its precomputed FWCI if any.
+
+    A record is a tuple of its seven fields, in ``CSV_COLUMNS`` order, and
+    compares equal to a plain tuple of the same fields. Its fields are
+    read-only, and it is built in one step, with no per-field attribute
+    stores: ingest builds one per input row.
+    """
 
     award_code: str
     year: int

@@ -19,16 +19,13 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .corpus import NumericalError
 from .histogram import Histogram, build_histogram
 from .leastsq import damped_least_squares
 
 log = logging.getLogger(__name__)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-class NumericalError(Exception):
-    """A computation broke down: every ensemble fit failed, a derived statistic overflowed, or a simulated median underflowed."""
 
 
 @dataclass(frozen=True)

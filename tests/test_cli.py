@@ -1,16 +1,20 @@
 import contextlib
 import csv
+import gc
 import io
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fwcibench
 from fwcibench import cli
-from fwcibench.corpus import CSV_COLUMNS
+from fwcibench.corpus import CSV_COLUMNS, DataError, NumericalError
 from fwcibench.simulate import BaselineField, median_curve
 
 FIT_FILES = (
@@ -581,6 +585,16 @@ def test_duplicate_sigma2_is_simulated_once(corpus_path, tmp_path, command, outp
     assert f"  sigma2 = {echoed}\n" in report
 
 
+@pytest.mark.parametrize("command", [["ingest"], ["fit", "--fits", "20"]], ids=["ingest", "fit"])
+def test_unused_sigma2_is_echoed_once_without_a_warning(corpus_path, tmp_path, command, capsys):
+    out = tmp_path / "out"
+    code = cli.main([*command, "--input", str(corpus_path), "--out", str(out), "--sigma2", "1,1.3,1.0"])
+    assert code == 0
+    assert "warning" not in capsys.readouterr().err
+    report = next(out.glob("*_report.txt")).read_text(encoding="utf-8")
+    assert "  sigma2 = 1.0,1.3\n" in report
+
+
 @pytest.mark.parametrize(
     "command,output",
     [
@@ -634,3 +648,76 @@ def test_bad_flag_values(flag, value, capsys):
 
 def test_bad_n_list(corpus_path):
     assert cli.main(["curve", "--input", str(corpus_path), "--n-list", "0,5"]) == 1
+
+
+# --- collector and start-up ---
+
+
+@pytest.fixture
+def restore_gc():
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize(
+    "outcome,code",
+    [(None, 0), (DataError("bad"), 2), (NumericalError("underflow"), 3), (RuntimeError("bug"), None)],
+    ids=["exit-0", "exit-2", "exit-3", "escapes"],
+)
+def test_main_runs_a_command_with_the_collector_off_and_restores_it(monkeypatch, restore_gc, enabled, outcome, code):
+    during = []
+
+    def command(args):
+        during.append(gc.isenabled())
+        if outcome is not None:
+            raise outcome
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_ingest", command)
+    (gc.enable if enabled else gc.disable)()
+    argv = ["ingest", "--input", "x.csv"]
+    if code is None:
+        with pytest.raises(RuntimeError, match="bug"):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == code
+    assert during == [False]
+    assert gc.isenabled() is enabled
+
+
+def run_fresh(code: str, *argv: str, cwd=None) -> list[str]:
+    """stdout lines of ``code`` run by a new interpreter, which has imported nothing of the package yet."""
+    src = os.path.dirname(os.path.dirname(fwcibench.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, cwd=cwd, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["ingest", "--input", "small.csv", "--out", "out"], 0),
+        (["fit", "--input", "small.csv", "--fits", "0"], 1),
+        (["--help"], 0),
+    ],
+    ids=["ingest", "usage-error", "help"],
+)
+def test_ingest_help_and_usage_errors_never_import_numpy(corpus_path, tmp_path, argv, code):
+    shutil.copy(corpus_path, tmp_path / "small.csv")
+    main_then_modules = "import sys; from fwcibench import cli; print(cli.main(sys.argv[1:]), 'numpy' in sys.modules)"
+    assert run_fresh(main_then_modules, *argv, cwd=tmp_path)[-1] == f"{code} False"
+
+
+def test_package_loads_its_submodules_on_first_use():
+    lines = run_fresh(
+        "import sys, fwcibench\n"
+        "print('numpy' in sys.modules)\n"
+        "print(callable(fwcibench.lognormal.ensemble_fit))\n"
+        "print(fwcibench.lognormal.NumericalError is fwcibench.corpus.NumericalError)\n"
+    )
+    assert lines == ["False", "True", "True"]

@@ -484,6 +484,12 @@ def test_record_keeps_frozen_slots():
     assert hash(record) == hash(rec()) and record == rec()
 
 
+def test_record_is_a_tuple_of_its_fields():
+    record = rec(fwci=1.5, citations=3, title="t")
+    assert record._fields == corpus.CSV_COLUMNS
+    assert record == ("12/IA/1234", 2015, "article", 1.5, 3, "t", "s1") == tuple(record)
+
+
 # --- filter_eligible ---
 
 
