@@ -12,11 +12,12 @@ scaled 60x (~190k rows, enough repeated codes, rejections and duplicates to
 exercise the parser at volume), ``fit`` at the default flags, ``fit`` with
 non-default ``--low-cut``, ``--range`` and ``--bins``, ``fit`` with no low
 cut, ``benchmark``, ``benchmark`` with five unsorted ``--sigma2`` values,
-``curve``, and ``curve`` with the same five values and an unsorted
-``--n-list``, each in its own subdirectory of OUT_DIR, with small ensembles
-and Monte Carlo sizes so the whole run takes seconds. Five baselines are more
-than a small machine has cores, so the Monte Carlo's worker threads, one per
-baseline, take turns on the cores.
+``curve``, ``curve`` with the same five values and an unsorted
+``--n-list``, and ``curve`` at 70,000 reps, each in its own subdirectory of
+OUT_DIR, with small ensembles and Monte Carlo sizes so the whole run takes
+seconds. The Monte Carlo splits its reps into blocks of at most 2**15, each
+with its own stream and one task per block on a thread pool: the other runs'
+4,000 reps are one block, and the 70,000-rep curve is three.
 Each command's stdout is kept as ``stdout.txt`` beside its output files.
 """
 
@@ -55,6 +56,7 @@ def runs(input_dir: str, input_60x_dir: str) -> dict[str, list[str]]:
         "benchmark-5-sigma2": ["benchmark", *pubs, *SMALL, "--sigma2", "1.8,0.5,1.3,2.2,1.0"],
         "curve": ["curve", *pubs, *SMALL, "--n-list", "1,5,10,46,100,400"],
         "curve-5-sigma2": ["curve", *pubs, *SMALL, "--n-list", "400,1,46,5", "--sigma2", "1.8,0.5,1.3,2.2,1.0"],
+        "curve-blocks": ["curve", *pubs, *SMALL, "--reps", "70000", "--n-list", "1,5"],
     }
 
 

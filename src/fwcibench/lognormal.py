@@ -58,7 +58,7 @@ class FitEnsemble:
     """Percentile summaries of (mu, sigma) across a random-bin fit ensemble.
 
     The 2.5 and 97.5 percentiles bound a 95% confidence interval; the median
-    is the central value. Only converged fits contribute.
+    is the central value. Only converged fits contribute (see fit_histogram).
     """
 
     mu_p2_5: float
@@ -155,7 +155,9 @@ def fit_histogram(hist: Histogram, init: LognormalParams | None = None) -> Logno
     step tolerance 1e-10). Empty bins stay in the objective with count 0;
     bins with non-positive centers are excluded because ln is undefined
     there. Requires at least 4 non-empty usable bins. Non-convergence
-    returns the last iterate flagged converged=False.
+    returns the last iterate flagged converged=False, and so does a fit
+    whose mu lies outside the ln range of the bin centers used, which no
+    bin supports (on a handful of non-empty bins LM can converge there).
     """
     mask = hist.centers > 0
     x = np.asarray(hist.centers[mask], dtype=float)
@@ -180,7 +182,7 @@ def fit_histogram(hist: Histogram, init: LognormalParams | None = None) -> Logno
         params=LognormalParams(mu=float(mu), sigma=float(sigma)),
         n_bins_used=int(x.size),
         residual_norm=float(math.sqrt(result.cost)),
-        converged=result.converged,
+        converged=bool(result.converged and t[0] <= mu <= t[-1]),
     )
 
 

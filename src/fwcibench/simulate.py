@@ -5,15 +5,14 @@ unit-mean lognormal baseline the median of such means sits well below 1 for
 small n and climbs toward 1 as n grows. This module simulates that median and
 benchmarks observed award means against it, per baseline spread.
 
-Every quantity is deterministic given (n, sigma_sq, reps, seed). The
-simulation uses common random numbers: each (seed, sigma_sq) has one
-generator stream, and every paper count reads its awards from the start of
-that stream, so the median for n depends only on the first n draws of each
-simulated award. Adding or reordering paper counts or baselines therefore
-never perturbs other results, and one sigma_sq's medians are correlated
-across n. Each baseline of a curve runs as one task on a default-sized thread
-pool; memory is two reps-long arrays per baseline in flight, and no result
-depends on the number of threads.
+Every quantity is deterministic given (n, sigma_sq, reps, seed). The reps are
+split into ceil(reps / 2**15) blocks of near-equal size, block b drawing from
+its own stream keyed by (seed, b). Paper j's standard normals are drawn once
+per block and serve every baseline and every paper count from j on: common
+random numbers across sigma_sq and n. So adding or reordering paper counts or
+baselines never perturbs other results, no result depends on the number of
+threads, and the medians are correlated with each other. Memory is one
+reps-long running sum per baseline plus the normals and one scratch array.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from .lognormal import LognormalParams, NumericalError
 
 VERDICT_ABOVE = "above_median"
 VERDICT_BELOW = "below_median"
+_BLOCK = 2**15  # reps per block at most
 
 @dataclass(frozen=True)
 class BaselineField:
@@ -120,84 +120,84 @@ def _checked(n_values, reps: int, seed: int) -> list[int]:
     return wanted
 
 
-def _stream(sigma_sq: float, seed: int) -> np.random.Generator:
-    """The generator stream of (seed, sigma_sq), keyed by sigma_sq's float64 bit pattern."""
-    key = int(np.float64(sigma_sq).view(np.uint64))
-    return np.random.default_rng(np.random.SeedSequence([int(seed), key]))
+def _stream(seed: int, block: int) -> np.random.Generator:
+    """The generator stream of one block of reps."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed), int(block)]))
 
 
-def _run(wanted: list[int], sigma_sq: float, reps: int, rng: np.random.Generator, failed: list) -> dict[int, float]:
-    """One baseline's medians at each n in wanted (see medians), drawn from rng.
+def _run(wanted: list[int], sigmas: list[float], reps: int, seed: int) -> list[dict[int, float]]:
+    """Each baseline's medians at each n in wanted, in the order of sigmas (see the module docstring)."""
+    params = [BaselineField(s).params for s in sigmas]
+    n_blocks = -(-reps // _BLOCK)
+    bounds = [b * reps // n_blocks for b in range(n_blocks + 1)]
+    # Seeded here, before any worker starts: the first default_rng imports
+    # numpy.random, whose memory would otherwise land in a worker's malloc arena.
+    streams = [_stream(seed, b) for b in range(n_blocks)]
+    totals, normals, scratch = np.zeros((len(params), reps)), np.empty(reps), np.empty(reps)
+    out: list[dict[int, float]] = [{} for _ in params]
 
-    Stops at its next paper, returning the medians so far, once failed is
-    non-empty; appends sigma_sq to failed if it raises itself.
-    """
-    params = BaselineField(sigma_sq).params
-    total = np.zeros(reps)
-    scratch = np.empty(reps)
-    out: dict[int, float] = {}
-    try:
-        for n in range(1, wanted[-1] + 1):
-            if failed:
-                break
-            # in place: sample_lognormal's fresh arrays per paper cost ~60% more time
-            rng.standard_normal(out=scratch)
-            scratch *= params.sigma
-            scratch += params.mu
-            np.exp(scratch, out=scratch)
-            np.add(total, scratch, out=total)
-            if n == wanted[len(out)]:
-                # The median partitions a copy of total in scratch; np.median
-                # averages the two central order statistics when reps is even.
-                np.copyto(scratch, total)
-                median = float(np.median(scratch, overwrite_input=True)) / n
-                if not median > 0:
-                    raise NumericalError(f"simulated median of means underflows to {median!r} at sigma2 = {sigma_sq!r}, n = {n}")
-                out[n] = median
-    except BaseException:
-        failed.append(sigma_sq)
-        raise
+    def advance(b: int, start: int, stop: int) -> None:
+        rows = slice(bounds[b], bounds[b + 1])
+        z, x = normals[rows], scratch[rows]
+        for _ in range(start, stop):
+            streams[b].standard_normal(out=z)
+            for p, total in zip(params, totals):
+                # in place: sample_lognormal's fresh arrays per paper cost ~60% more time
+                np.multiply(z, p.sigma, out=x)
+                x += p.mu
+                np.exp(x, out=x)
+                total[rows] += x
+
+    def take_medians(first: int, n: int, buf: np.ndarray) -> None:
+        # Between advances normals and scratch are free: each of the two median tasks
+        # partitions its copies in one. np.median averages the central pair if reps is even.
+        for i in range(first, len(params), 2):
+            np.copyto(buf, totals[i])
+            out[i][n] = float(np.median(buf, overwrite_input=True)) / n
+
+    # Imported here: at module load it would add ~0.3 MB to commands that start no thread.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor() as pool:
+        for done, n in zip([0, *wanted], wanted):
+            list(pool.map(advance, range(n_blocks), [done] * n_blocks, [n] * n_blocks))
+            list(pool.map(take_medians, range(min(2, len(params))), [n, n], [normals, scratch]))
+            for sigma_sq, values in zip(sigmas, out):
+                if not values[n] > 0:
+                    raise NumericalError(f"simulated median of means underflows to {values[n]!r} at sigma2 = {sigma_sq!r}, n = {n}")
     return out
 
 
 def medians(n_values, sigma_sq: float, reps: int, seed: int) -> dict[int, float]:
     """Median over reps simulated awards of the mean of n baseline draws, for each n.
 
-    One generator stream per (seed, sigma_sq), with sigma_sq entering through
-    its float64 bit pattern. Paper j is drawn for all reps at once and added
-    to a running sum, so the n-paper award means are the first n draws of
-    each rep: a result for n depends only on the first n * reps values of
-    the stream, and adding paper counts or baselines never moves another
-    result. Because every n reads the same draws, one sigma_sq's medians are
-    correlated across n. Memory is two reps-long arrays, the running sum and
-    a scratch array for each paper's draws and the median; time grows with
-    reps * max(n_values). median_curve gives the same values for many baselines.
+    Paper j is drawn for each block of at most 2**15 reps at once, from the
+    block's (seed, block) stream, and added to a running sum, so the n-paper
+    award means are the first n papers of each rep. Every baseline and paper
+    count reads these same normals, so a result is the value median_curve
+    gives and never moves when others are asked for. Memory is the running
+    sum, the normals and a scratch array, each reps long; time grows with
+    reps * max(n_values).
     """
-    return _run(_checked(n_values, reps, seed), sigma_sq, reps, _stream(sigma_sq, seed), [])
+    return _run(_checked(n_values, reps, seed), [sigma_sq], reps, seed)[0]
 
 
 def median_curve(n_values, baselines, reps: int, seed: int) -> list[MedianCurvePoint]:
     """One MedianCurvePoint per (baseline, n) combination, grouped by baseline.
 
-    Each baseline runs its whole stream as one task on a default-sized thread
-    pool, so each point is the value medians gives, whatever the number of
-    threads; after one baseline fails, the others stop at their next paper.
-    Memory is two reps-long arrays per baseline in flight.
+    All baselines share each block's standard normals, which are drawn once,
+    so each point equals what medians gives. At each requested n, every block
+    advances to n as one task on a default-sized thread pool, then two tasks
+    take the medians; no point depends on the number of threads. Memory is
+    one reps-long running sum per baseline plus the normals and one scratch
+    array, each reps long.
     """
     n_list = [int(n) for n in n_values]
     wanted = _checked(n_list, reps, seed)
     base_list = list(baselines)
     if not base_list:
         raise ValueError("baselines must be non-empty")
-    # Seeded here, before any worker starts: the first default_rng imports
-    # numpy.random, whose memory would otherwise land in a worker's malloc arena.
-    streams = [_stream(b.sigma_sq, seed) for b in base_list]
-    # Imported here: at module load it would add ~0.3 MB to commands that start no thread.
-    from concurrent.futures import ThreadPoolExecutor
-
-    failed: list[float] = []
-    with ThreadPoolExecutor() as pool:
-        runs = list(pool.map(lambda b, rng: _run(wanted, b.sigma_sq, reps, rng, failed), base_list, streams))
+    runs = _run(wanted, [b.sigma_sq for b in base_list], reps, seed)
     return [
         MedianCurvePoint(n=n, sigma_sq=b.sigma_sq, median_mean=values[n])
         for b, values in zip(base_list, runs)

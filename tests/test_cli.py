@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fwcibench
-from fwcibench import cli
+from fwcibench import cli, lognormal
 from fwcibench.corpus import CSV_COLUMNS, DataError, NumericalError
 from fwcibench.simulate import BaselineField, median_curve
 
@@ -172,14 +172,29 @@ def test_budgets_summing_past_the_largest_float_are_a_data_error(corpus_path, tm
     assert assert_one_line_error(capsys).startswith(f"error: {budgets}: the budgets sum past the largest float")
 
 
-def test_fit_whose_mean_overflows_is_a_numerical_error(tmp_path, capsys):
+def test_fit_whose_mean_overflows_is_a_numerical_error(tmp_path, capsys, monkeypatch):
+    # No fit whose mu stays inside its bins' ln range has been seen to put the
+    # mean past the largest float, so the ensemble is stubbed: mu + sigma^2 / 2 = 711.
+    ensemble = lognormal.FitEnsemble(708.9, 709.0, 709.1, 1.9, 2.0, 2.1, n_fits=20, n_failed=0, seed=42)
+    monkeypatch.setattr(lognormal, "ensemble_fit", lambda *args: ensemble)
+    path = tmp_path / "pubs.csv"
+    rows = [[f"11/IA/{3000 + i % 5}", 2019, "article", repr(0.2 + 0.3 * i), 1, "t", f"W{i}"] for i in range(20)]
+    write_csv(path, list(CSV_COLUMNS), rows)
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(path), "--fits", "20", "--out", str(out)]) == 3
+    assert assert_one_line_error(capsys).startswith("error: the fitted lognormal's mean e^")
+    assert not (out / "fit_report.txt").exists()
+
+
+def test_fit_whose_every_ensemble_fit_leaves_the_bins_ln_range_is_a_numerical_error(tmp_path, capsys):
+    # Every LM fit converges to mu near 1e6, far past ln(1.7e308) = 709.8.
     path = tmp_path / "huge.csv"
     values = np.linspace(4e305, 8e306, 20)
     rows = [[f"11/IA/{3000 + i % 5}", 2019, "article", repr(float(v)), 1, "t", f"W{i}"] for i, v in enumerate(values)]
     write_csv(path, list(CSV_COLUMNS), rows)
     out = tmp_path / "out"
     assert cli.main(["fit", "--input", str(path), "--range", "0:1.7e308", "--fits", "20", "--out", str(out)]) == 3
-    assert assert_one_line_error(capsys).startswith("error: the fitted lognormal's mean e^")
+    assert assert_one_line_error(capsys) == "error: all 20 ensemble fits failed\n"
     assert not (out / "fit_report.txt").exists()
 
 

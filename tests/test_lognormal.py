@@ -312,6 +312,18 @@ def test_ensemble_all_failed_raises():
             fit(*args, seed=0)
 
 
+def test_ensemble_counts_a_fit_whose_mu_leaves_the_bins_ln_range_as_failed():
+    # ln of the values is 704.6..707.7, and of the bin centers at most 709.73;
+    # on these few non-empty bins LM converges to mu near 1e6, which no bin supports
+    values = np.linspace(4e305, 8e306, 20)
+    logs = np.log(values)
+    fit = fit_histogram(build_histogram(values, 0.0, 1.7e308, 87), init=LognormalParams(logs.mean(), logs.std()))
+    assert fit.params.mu > 1e5 and not fit.converged
+    for ensemble in (ensemble_fit, per_draw_ensemble):
+        with pytest.raises(NumericalError, match="all 20 ensemble fits failed"):
+            ensemble(values, 0.0, 1.7e308, 20, 800, 20, seed=42)
+
+
 def test_ensemble_equals_per_draw_fits_with_repeated_counts(trunc_sampler):
     draws = trunc_sampler(3000, P_FIT.mu, P_FIT.sigma, seed=12)
     args = (draws, 0.0, 8.0, 20, 800, 200)

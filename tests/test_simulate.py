@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import math
 import threading
 
@@ -130,18 +131,21 @@ def test_medians_depend_only_on_their_prefix_of_the_stream():
 
 
 def test_medians_stream_layout_is_pinned():
-    # Recorded when the common-random-numbers layout was introduced: one stream
-    # per (seed, sigma_sq), paper j drawn for all reps at once.
+    # Recorded when the block layout was introduced: one stream per (seed,
+    # block of reps), paper j drawn for the block's reps at once and shared
+    # by every baseline.
     got = {n: v.hex() for n, v in medians([1, 7, 46], 1.3, 5000, 9).items()}
-    assert got == {1: "0x1.0282aa4eb58f6p-1", 7: "0x1.b262ab521e239p-1", 46: "0x1.ef2a3d2f60b53p-1"}
+    assert got == {1: "0x1.1159c558e4cd9p-1", 7: "0x1.b9db870176115p-1", 46: "0x1.f1de71d314c2dp-1"}
 
 
 def test_medians_equal_median_of_direct_means():
-    # the running sum reproduces the means of each rep's first n draws
-    reps, seed, sigma_sq = 501, 4, 1.3
+    # the running sum reproduces the means of each rep's first n draws, with
+    # the reps split into two blocks of 16,384 and 16,385, each with its own stream
+    reps, seed, sigma_sq = 2**15 + 1, 4, 1.3
     params = BaselineField(sigma_sq).params
-    rng = np.random.default_rng(np.random.SeedSequence([seed, int(np.float64(sigma_sq).view(np.uint64))]))
-    draws = np.exp(params.mu + params.sigma * rng.standard_normal((6, reps)))
+    streams = [np.random.default_rng(np.random.SeedSequence([seed, b])) for b in (0, 1)]
+    z = np.hstack([rng.standard_normal((6, size)) for rng, size in zip(streams, (16_384, 16_385))])
+    draws = np.exp(params.mu + params.sigma * z)
     got = medians([2, 6], sigma_sq, reps, seed)
     for n in (2, 6):
         assert got[n] == pytest.approx(float(np.median(draws[:n].mean(axis=0))), rel=1e-14)
@@ -211,15 +215,17 @@ def test_curve_on_worker_threads_equals_a_loop_over_medians():
 
 
 def test_curve_threads_stay_within_the_pool_default(monkeypatch):
-    # One task per baseline: forty baselines run on the executor's default
-    # number of threads, never on one thread each.
+    # One task per block of reps: with blocks of 16 reps, 200 reps make 13
+    # blocks, which run on the executor's default number of threads, never
+    # on one thread each.
+    monkeypatch.setattr(simulate, "_BLOCK", 16)
     sigmas = [0.1 * k for k in range(1, 41)]
     expected = [medians(N_UNSORTED, s, 200, 3) for s in sigmas]
     live = []
 
     class SampledStream:
-        def __init__(self, sigma_sq, seed):
-            self.rng = real_stream(sigma_sq, seed)
+        def __init__(self, seed, block):
+            self.rng = real_stream(seed, block)
 
         def standard_normal(self, out):
             live.append(threading.active_count() - 1)  # less the calling thread
@@ -231,7 +237,7 @@ def test_curve_threads_stay_within_the_pool_default(monkeypatch):
     assert [(p.sigma_sq, p.n, p.median_mean) for p in points] == [
         (s, n, values[n]) for s, values in zip(sigmas, expected) for n in N_UNSORTED
     ]
-    assert len(live) == 40 * 46
+    assert len(live) == 13 * 46
     assert 1 <= max(live) <= concurrent.futures.ThreadPoolExecutor()._max_workers
 
 
@@ -240,24 +246,51 @@ def test_median_that_underflows_in_a_worker_is_an_error():
         median_curve([1], [BaselineField(1.0), BaselineField(2000.0)], 100, SEED)
 
 
-def test_an_underflowing_baseline_stops_the_others_early(monkeypatch):
-    drawn = {}
+@pytest.fixture
+def drawn(monkeypatch):
+    """Papers drawn per block of reps, keyed by block, in the test's last call."""
+    counts = {}
+    real_stream = simulate._stream
 
     class CountingStream:
-        def __init__(self, sigma_sq, seed):
-            self.sigma_sq, self.rng = sigma_sq, real_stream(sigma_sq, seed)
-            drawn[sigma_sq] = 0
+        def __init__(self, seed, block):
+            self.block, self.rng = block, real_stream(seed, block)
+            counts[block] = 0
 
         def standard_normal(self, out):
-            drawn[self.sigma_sq] += 1
+            counts[self.block] += 1
             return self.rng.standard_normal(out=out)
 
-    real_stream = simulate._stream
     monkeypatch.setattr(simulate, "_stream", CountingStream)
+    return counts
+
+
+def test_an_underflowing_baseline_stops_the_others_early(drawn):
+    # Two blocks; no block draws past the first requested n once a baseline underflows there.
     with pytest.raises(NumericalError, match=r"sigma2 = 2000\.0, n = 1"):
-        median_curve([1, 400], [BaselineField(s) for s in (2000.0, 1.0, 1.3)], 20_000, SEED)
-    assert drawn[2000.0] == 1
-    assert drawn[1.0] < 400 and drawn[1.3] < 400
+        median_curve([1, 400], [BaselineField(s) for s in (2000.0, 1.0, 1.3)], 2**15 + 1, SEED)
+    assert drawn == {0: 1, 1: 1}
+
+
+@pytest.mark.parametrize("reps,blocks", [(1, 1), (2**15, 1), (2**15 + 1, 2), (2**16 + 1, 3)])
+def test_reps_are_split_into_blocks_of_at_most_2_to_the_15(drawn, reps, blocks):
+    medians([3], 1.3, reps, SEED)
+    assert drawn == {b: 3 for b in range(blocks)}
+
+
+def test_curve_on_one_worker_equals_the_default_pool(monkeypatch):
+    # Four blocks of reps: one thread or many give the same bits.
+    args = (N_UNSORTED, [BaselineField(s) for s in FIVE_SIGMAS], 3 * 2**15 + 5, 3)
+    default = median_curve(*args)
+    one_worker = functools.partial(concurrent.futures.ThreadPoolExecutor, max_workers=1)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", one_worker)
+    assert [p.median_mean.hex() for p in median_curve(*args)] == [p.median_mean.hex() for p in default]
+
+
+def test_medians_do_not_depend_on_the_other_baselines_in_the_call():
+    alone = median_curve(N_UNSORTED, [BaselineField(1.3)], 2**15 + 7, 5)
+    among = median_curve(N_UNSORTED, [BaselineField(s) for s in FIVE_SIGMAS], 2**15 + 7, 5)
+    assert [p for p in among if p.sigma_sq == 1.3] == alone
 
 
 @pytest.mark.parametrize("reps,seed", [(0, 1), (10, -1)])
