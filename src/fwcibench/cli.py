@@ -11,8 +11,8 @@ text that is not UTF-8, a CSV the csv module cannot read, nothing to process,
 fewer than 4 distinct values to fit, budgets, an award's FWCI values or all
 eligible FWCI values whose sum overflows); 3 numerical failure, raised as
 corpus.NumericalError, which lognormal re-exports (every ensemble fit failed, a
-fitted statistic overflowed, a simulated median underflowed). Any other
-exception is a bug and ends the run with a traceback.
+fitted statistic overflowed, the fit had no mass in its window, a simulated
+median underflowed). Any other exception is a bug and ends in a traceback.
 
 Both error classes live in corpus, so ``ingest``, ``--help`` and a usage error
 never import NumPy: the numerical modules are imported inside the commands
@@ -327,43 +327,30 @@ def cmd_fit(args: argparse.Namespace) -> int:
     )
     central = lognormal.LognormalParams(mu=ensemble.mu_p50, sigma=ensemble.sigma_p50)
     stats = lognormal.derived_stats(central)
+    window_lo = max(fit_lo, args.low_cut)  # the fitted sample lies in [window_lo, fit_hi)
+    mass = lognormal.percentile_of(fit_hi, central) - (lognormal.percentile_of(window_lo, central) if window_lo > 0 else 0)
+    if not mass > 0:
+        raise NumericalError(f"the fitted lognormal puts no mass in the window {window_lo!r}:{fit_hi!r}")
 
-    # Display view: fixed-width bins for plotting plus one fit at that binning
-    # so the drawn curve matches the drawn histogram.
+    # Display view: fixed-width bins, and the reported fit restricted to the
+    # window as an expected count per bin, N * w * pdf(x) / mass.
     n_display = round(min(max((fit_hi - fit_lo) / _LINEAR_BIN_WIDTH, 4), _LINEAR_MAX_BINS))
     display_hist = histogram.build_histogram(fit_values, fit_lo, fit_hi, n_display)
-    try:
-        display_fit = lognormal.fit_histogram(display_hist)
-        display_lines = [
-            f"  n_bins = {n_display}",
-            f"  amplitude = {display_fit.amplitude!r}",
-            f"  mu = {display_fit.params.mu!r}",
-            f"  sigma = {display_fit.params.sigma!r}",
-            f"  converged = {display_fit.converged}",
-        ]
-        curve_amp, curve_params = display_fit.amplitude, display_fit.params
-    except ValueError as exc:
-        display_lines = [f"  unavailable: {exc}"]
-        width = (fit_hi - fit_lo) / n_display
-        curve_amp = fit_values.size * width / (central.sigma * math.sqrt(2 * math.pi))
-        curve_params = central
-
     _write_series(args, "hist_linear.csv", ["center", "count"], display_hist.centers, display_hist.counts)
     xs = _grid(fit_lo, fit_hi)
-    _write_series(
-        args, "curve_linear.csv", ["x", "expected_count"], xs, lognormal.scaled_model(xs, curve_amp, curve_params)
-    )
+    expected = fit_values.size * (fit_hi - fit_lo) / n_display * lognormal.pdf(xs, central) / mass
+    _write_series(args, "curve_linear.csv", ["x", "expected_count"], xs, expected)
 
     # Log view: whole eligible sample with zeros displaced, for display; the
-    # cross-check normal fit runs on ln of the fitted sample only.
+    # cross-check normal fit runs on ln of the fitted sample only, over its window.
     log_all = histogram.log_transform(all_values, _ZERO_SHIFT)
     log_hist = histogram.build_histogram(log_all, _LOG_LO, _LOG_HI, _LOG_BINS)
     _write_series(args, "hist_log.csv", ["center", "count"], log_hist.centers, log_hist.counts)
 
-    cons_lo = math.log(args.low_cut) if args.low_cut > 0 else _LOG_LO
+    cons_lo = math.log(window_lo) if window_lo > 0 else _LOG_LO
     cons_hi = math.log(fit_hi)
     try:
-        # empty window when ln(low_cut) >= ln(fit_hi), or fit_hi <= e^-5 with no low cut
+        # ValueError: fewer than 4 non-empty bins, or an empty window (fit_hi <= e^-5 with window_lo = 0)
         cons_hist = histogram.build_histogram(np.log(fit_values), cons_lo, cons_hi, _LOG_BINS)
         cons_amp, cons_params = lognormal.fit_normal_log(cons_hist)
         cons_lines = [
@@ -404,8 +391,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         f"  interval95 = {stats.interval95_lo!r}:{stats.interval95_hi!r} (distribution quantiles)",
         "consistency (normal fit to ln values):",
         *cons_lines,
-        "display fit (fixed-width bins):",
-        *display_lines,
         "series files: hist_linear.csv curve_linear.csv hist_log.csv curve_log.csv",
     ]
     _write_report(args, "fit_report.txt", "fit report", report)

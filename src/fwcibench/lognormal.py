@@ -6,7 +6,7 @@ exp(-(ln x - mu)^2 / (2 sigma^2)) whose amplitude A absorbs the sample size
 and bin width, so raw bin counts can be fitted without normalizing them.
 Because best-fit parameters depend on the binning, confidence intervals come
 from refitting at many randomly drawn bin counts (each distinct count once)
-and reading percentiles off the parameter distribution over the draws.
+and reading percentiles off the draws, whose median is the reported fit.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ from .leastsq import damped_least_squares
 log = logging.getLogger(__name__)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# How many spans of its bin centers' ln range a fit's mu may lie outside it: a
+# window without the mode puts mu up to 5 out (at 4:8), a runaway fit some 1e5.
+_MU_SPANS_OUTSIDE = 100.0
 
 
 @dataclass(frozen=True)
@@ -84,24 +88,14 @@ class DerivedStats:
 
 
 def pdf(x, params: LognormalParams):
-    """Lognormal probability density at x > 0.
+    """Lognormal probability density at x > 0, a scalar or an array.
 
     p(x) = 1 / (x sigma sqrt(2 pi)) * exp(-(ln x - mu)^2 / (2 sigma^2)).
     """
-    return scaled_model(x, 1.0 / (params.sigma * _SQRT_2PI), params)
-
-
-def scaled_model(x, amplitude: float, params: LognormalParams):
-    """Expected bin count (A / x) * exp(-(ln x - mu)^2 / (2 sigma^2)).
-
-    Setting A = 1 / (sigma * sqrt(2 pi)) recovers the unit-area density exactly.
-    """
-    if not (amplitude > 0):
-        raise ValueError(f"amplitude must be > 0, got {amplitude}")
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
-        raise ValueError("scaled_model requires x > 0")
-    out = gaussian((amplitude, params.mu, params.sigma), np.log(arr), arr)
+        raise ValueError("pdf requires x > 0")
+    out = gaussian((1.0 / (params.sigma * _SQRT_2PI), params.mu, params.sigma), np.log(arr), arr)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -156,8 +150,8 @@ def fit_histogram(hist: Histogram, init: LognormalParams | None = None) -> Logno
     bins with non-positive centers are excluded because ln is undefined
     there. Requires at least 4 non-empty usable bins. Non-convergence
     returns the last iterate flagged converged=False, and so does a fit
-    whose mu lies outside the ln range of the bin centers used, which no
-    bin supports (on a handful of non-empty bins LM can converge there).
+    whose mu lies outside the ln range of the bin centers used by more than
+    _MU_SPANS_OUTSIDE spans: LM can converge there on a few non-empty bins.
     """
     mask = hist.centers > 0
     x = np.asarray(hist.centers[mask], dtype=float)
@@ -177,12 +171,13 @@ def fit_histogram(hist: Histogram, init: LognormalParams | None = None) -> Logno
 
     result = _fit_gaussian(t, y, x, [amp0, mu0, sigma0])
     amp, mu, sigma = result.params
+    slack = _MU_SPANS_OUTSIDE * (t[-1] - t[0])
     return LognormalFit(
         amplitude=float(amp),
         params=LognormalParams(mu=float(mu), sigma=float(sigma)),
         n_bins_used=int(x.size),
         residual_norm=float(math.sqrt(result.cost)),
-        converged=bool(result.converged and t[0] <= mu <= t[-1]),
+        converged=bool(result.converged and t[0] - slack <= mu <= t[-1] + slack),
     )
 
 

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import gc
 import io
+import math
 import os
 import shutil
 import subprocess
@@ -183,6 +184,19 @@ def test_fit_whose_mean_overflows_is_a_numerical_error(tmp_path, capsys, monkeyp
     out = tmp_path / "out"
     assert cli.main(["fit", "--input", str(path), "--fits", "20", "--out", str(out)]) == 3
     assert assert_one_line_error(capsys).startswith("error: the fitted lognormal's mean e^")
+    assert not (out / "fit_report.txt").exists()
+
+
+def test_fit_whose_model_puts_no_mass_in_the_window_is_a_numerical_error(tmp_path, capsys, monkeypatch):
+    # at mu = 50, sigma = 1 the share of the distribution below 8 underflows to 0
+    ensemble = lognormal.FitEnsemble(49.9, 50.0, 50.1, 0.9, 1.0, 1.1, n_fits=20, n_failed=0, seed=42)
+    monkeypatch.setattr(lognormal, "ensemble_fit", lambda *args: ensemble)
+    path = tmp_path / "pubs.csv"
+    rows = [[f"11/IA/{3000 + i % 5}", 2019, "article", repr(0.2 + 0.3 * i), 1, "t", f"W{i}"] for i in range(20)]
+    write_csv(path, list(CSV_COLUMNS), rows)
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(path), "--low-cut", "0", "--fits", "20", "--out", str(out)]) == 3
+    assert assert_one_line_error(capsys) == "error: the fitted lognormal puts no mass in the window 0.0:8.0\n"
     assert not (out / "fit_report.txt").exists()
 
 
@@ -397,6 +411,42 @@ def test_fit_writes_report_and_series(corpus_path, tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 80  # (8 - 0) / 0.1 fixed-width display bins
     assert sum(int(r["count"]) for r in rows) > 500
+
+
+def read_report_value(report, key):
+    return float(next(line.split(" = ")[1] for line in report.splitlines() if line.startswith(f"  {key} = ")))
+
+
+def test_fit_draws_the_reported_fit_restricted_to_its_window(corpus_path, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(fit_args(corpus_path, out)) == 0
+    report = (out / "fit_report.txt").read_text(encoding="utf-8")
+    assert "display fit" not in report
+    central = lognormal.LognormalParams(read_report_value(report, "mu_p50"), read_report_value(report, "sigma_p50"))
+    with open(out / "curve_linear.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    xs = np.array([float(r["x"]) for r in rows])
+    ratio = np.array([float(r["expected_count"]) for r in rows]) / lognormal.pdf(xs, central)
+    # N * w / mass: N values fitted in the window 0.1:8, display bins 0.1 wide
+    mass = lognormal.percentile_of(8.0, central) - lognormal.percentile_of(0.1, central)
+    expected = read_report_value(report, "fitted") * 0.1 / mass
+    assert ratio == pytest.approx(np.full(xs.size, expected), rel=1e-9)
+
+
+def test_fit_on_a_window_that_leaves_out_the_mode(corpus_path, tmp_path, capsys):
+    # e^mu is near 0.93, below every bin of the window, at every default bin count
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(corpus_path), "--range", "1:8", "--fits", "60", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "  n_failed = 0\n" in (out / "fit_report.txt").read_text(encoding="utf-8")
+
+
+def test_fit_consistency_window_starts_at_the_fitted_sample_lower_edge(corpus_path, tmp_path):
+    # the range starts above the low cut 0.1, so the ln-value bins start at ln(0.5)
+    out = tmp_path / "out"
+    assert cli.main([*fit_args(corpus_path, out), "--range", "0.5:8"]) == 0
+    report = (out / "fit_report.txt").read_text(encoding="utf-8")
+    assert f"consistency (normal fit to ln values):\n  range = {math.log(0.5)!r}:{math.log(8.0)!r} (40 bins" in report
 
 
 def test_fit_display_view_bin_count_is_capped(tmp_path):

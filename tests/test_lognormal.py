@@ -2,6 +2,7 @@ import math
 import os
 import signal
 import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from fwcibench.lognormal import (
     ensemble_fit,
     fit_histogram,
     fit_normal_log,
+    gaussian,
     pdf,
     percentile_of,
-    scaled_model,
 )
 
 P13 = LognormalParams(mu=-0.65, sigma=math.sqrt(1.3))
@@ -32,7 +33,7 @@ def expected_count_histogram(amplitude, params, lo, hi, n_bins):
     """Histogram whose counts are the exact model values at the bin centers."""
     width = (hi - lo) / n_bins
     centers = lo + (np.arange(n_bins) + 0.5) * width
-    counts = scaled_model(centers, amplitude, params)
+    counts = gaussian((amplitude, params.mu, params.sigma), np.log(centers), centers)
     return Histogram(lo=lo, hi=hi, n_bins=n_bins, counts=counts, centers=centers)
 
 
@@ -78,30 +79,6 @@ def test_pdf_rejects_nonpositive_x():
         pdf(0.0, P13)
     with pytest.raises(ValueError):
         pdf(np.array([1.0, -2.0]), P13)
-
-
-# --- scaled_model ---
-
-
-def test_scaled_model_reduces_to_pdf():
-    x = np.linspace(0.05, 12, 50)
-    amp = 1.0 / (P13.sigma * math.sqrt(2 * math.pi))
-    assert np.allclose(scaled_model(x, amp, P13), pdf(x, P13), rtol=1e-12)
-
-
-def test_scaled_model_at_median():
-    p = LognormalParams(mu=0.3, sigma=0.7)
-    x = math.exp(p.mu)
-    assert scaled_model(x, 42.0, p) == pytest.approx(42.0 / x, rel=1e-12)
-
-
-def test_scaled_model_unit_point():
-    assert scaled_model(1.0, 100.0, LognormalParams(mu=0.0, sigma=1.0)) == pytest.approx(100.0)
-
-
-def test_scaled_model_rejects_bad_amplitude():
-    with pytest.raises(ValueError):
-        scaled_model(1.0, 0.0, P13)
 
 
 # --- fit_histogram ---
@@ -322,6 +299,18 @@ def test_ensemble_counts_a_fit_whose_mu_leaves_the_bins_ln_range_as_failed():
     for ensemble in (ensemble_fit, per_draw_ensemble):
         with pytest.raises(NumericalError, match="all 20 ensemble fits failed"):
             ensemble(values, 0.0, 1.7e308, 20, 800, 20, seed=42)
+
+
+def test_ensemble_fits_a_window_that_leaves_out_the_mode():
+    # mu = -0.0761 lies below ln of every bin center in (1, 8). The sample is
+    # the planted lognormal's exact quantiles inside the window: a random tail
+    # sample of this size would put mu's sampling error near the band itself.
+    planted = NormalDist(P_FIT.mu, P_FIT.sigma)
+    lo_cdf, hi_cdf = planted.cdf(0.0), planted.cdf(math.log(8.0))
+    values = np.exp([planted.inv_cdf(lo_cdf + (hi_cdf - lo_cdf) * (k + 0.5) / 1300) for k in range(1300)])
+    ens = ensemble_fit(values, 1.0, 8.0, 20, 800, 200, seed=7)
+    assert ens.n_failed == 0
+    assert abs(ens.mu_p50 - P_FIT.mu) <= 0.05 and abs(ens.sigma_p50 - P_FIT.sigma) <= 0.05
 
 
 def test_ensemble_equals_per_draw_fits_with_repeated_counts(trunc_sampler):
