@@ -322,12 +322,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
             f"only {n_distinct} distinct values inside ({fit_lo!r}, {fit_hi!r}); a fit needs 4 non-empty bins"
         )
 
+    window_lo = max(fit_lo, args.low_cut)  # the fitted sample lies in [window_lo, fit_hi)
     ensemble = lognormal.ensemble_fit(
-        fit_values, fit_lo, fit_hi, *args.bins, args.fits, args.seed
+        fit_values, window_lo, fit_hi, *args.bins, args.fits, args.seed
     )
     central = lognormal.LognormalParams(mu=ensemble.mu_p50, sigma=ensemble.sigma_p50)
     stats = lognormal.derived_stats(central)
-    window_lo = max(fit_lo, args.low_cut)  # the fitted sample lies in [window_lo, fit_hi)
     mass = lognormal.percentile_of(fit_hi, central) - (lognormal.percentile_of(window_lo, central) if window_lo > 0 else 0)
     if not mass > 0:
         raise NumericalError(f"the fitted lognormal puts no mass in the window {window_lo!r}:{fit_hi!r}")
@@ -337,7 +337,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     n_display = round(min(max((fit_hi - fit_lo) / _LINEAR_BIN_WIDTH, 4), _LINEAR_MAX_BINS))
     display_hist = histogram.build_histogram(fit_values, fit_lo, fit_hi, n_display)
     _write_series(args, "hist_linear.csv", ["center", "count"], display_hist.centers, display_hist.counts)
-    xs = _grid(fit_lo, fit_hi)
+    xs = _grid(window_lo, fit_hi)
     expected = fit_values.size * (fit_hi - fit_lo) / n_display * lognormal.pdf(xs, central) / mass
     _write_series(args, "curve_linear.csv", ["x", "expected_count"], xs, expected)
 
@@ -378,6 +378,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         f"  n_fits = {ensemble.n_fits}",
         f"  n_failed = {ensemble.n_failed}",
         f"  seed = {ensemble.seed}",
+        f"  window = {window_lo!r}:{fit_hi!r}",
         f"  mu_p2_5 = {ensemble.mu_p2_5!r}",
         f"  mu_p50 = {ensemble.mu_p50!r}",
         f"  mu_p97_5 = {ensemble.mu_p97_5!r}",

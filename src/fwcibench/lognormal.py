@@ -5,15 +5,15 @@ log-spread sigma. Histogram fits use the scaled form (A / x) *
 exp(-(ln x - mu)^2 / (2 sigma^2)) whose amplitude A absorbs the sample size
 and bin width, so raw bin counts can be fitted without normalizing them.
 Because best-fit parameters depend on the binning, confidence intervals come
-from refitting at many randomly drawn bin counts (each distinct count once)
-and reading percentiles off the draws, whose median is the reported fit.
+from refitting at many randomly drawn bin counts (each distinct count once,
+one after another in the calling process) and reading percentiles off the
+draws, whose median is the reported fit.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -216,22 +216,20 @@ def ensemble_fit(
 
     Draws ``n_fits`` bin counts uniformly from {bins_lo, ..., bins_hi} with a
     generator seeded by ``seed``, histograms ``values`` over [lo, hi) at each
-    count, and fits the scaled model. A fit depends only on its bin count, so
-    each distinct count is fitted once and its result stands for every draw
-    of that count. The converged (mu, sigma) pairs of all draws feed the
-    2.5/50/97.5 percentiles (linear interpolation between order statistics);
-    ``n_failed`` counts the draws whose fit failed, not the distinct counts.
-    All fits start from the log-sample moments of ``values``. Identical
-    inputs give bit-identical results.
-
-    One strided share of the distinct counts per available core is fitted,
-    here or in a forked child; the result does not depend on the core count.
+    count, and fits the scaled model. Every value must be positive and lie
+    in that half-open window. A fit depends only on its bin count, so each
+    distinct count is fitted once, in this process, and its result stands
+    for every draw of that count. The converged (mu, sigma) pairs of all
+    draws feed the 2.5/50/97.5 percentiles (linear interpolation between
+    order statistics); ``n_failed`` counts the draws whose fit failed, not
+    the distinct counts. All fits start from the log-sample moments of
+    ``values``. Identical inputs give bit-identical results.
     """
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("values must be non-empty")
-    if not np.all((arr > lo) & (arr < hi)):
-        raise ValueError(f"values must lie strictly inside ({lo}, {hi}); filter before fitting")
+    if not np.all((arr > 0) & (arr >= lo) & (arr < hi)):
+        raise ValueError(f"values must be > 0 and lie inside [{lo}, {hi}); filter before fitting")
     if not (1 <= bins_lo <= bins_hi):
         raise ValueError(f"need 1 <= bins_lo <= bins_hi, got [{bins_lo}, {bins_hi}]")
     if n_fits < 1:
@@ -245,45 +243,13 @@ def ensemble_fit(
 
     bin_counts, draw_of = np.unique(bin_draws, return_inverse=True)
     per_count = np.full((bin_counts.size, 2), np.nan)
-    workers = min(len(os.sched_getaffinity(0)), bin_counts.size)
-
-    def fit_share(share: int) -> np.ndarray:
-        for k in range(share, bin_counts.size, workers):  # strided: the costly high counts spread evenly
-            try:
-                fit = fit_histogram(build_histogram(arr, lo, hi, int(bin_counts[k])), init=init)
-            except ValueError:
-                continue
-            if fit.converged:
-                per_count[k] = fit.params.mu, fit.params.sigma
-        return per_count[share::workers]
-
-    children = []  # (share, pid, read end of its pipe)
-    try:
-        for share in range(1, workers):
-            read_end, write_end = os.pipe()
-            if not (pid := os.fork()):  # the child leaves only through os._exit: no stdio flush, no atexit
-                try:
-                    os.close(read_end)
-                    with open(write_end, "wb") as fh:
-                        fh.write(fit_share(share).tobytes())
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(write_end)
-            children.append((share, pid, read_end))
-        fit_share(0)
-    except BaseException:
-        import signal  # here, not at module load, where it would add 0.4 ms to every launch
-        for _, pid, read_end in children:
-            os.kill(pid, signal.SIGKILL)
-            os.close(read_end)
-            os.waitpid(pid, 0)
-        raise
-    for share, pid, read_end in children:
-        with open(read_end, "rb") as fh:  # read to EOF first: a share can outgrow the pipe buffer
-            data = fh.read()
-        ok = os.waitpid(pid, 0)[1] == 0 and len(data) == per_count[share::workers].nbytes
-        per_count[share::workers] = np.frombuffer(data).reshape(-1, 2) if ok else fit_share(share)
+    for k, n_bins in enumerate(bin_counts):
+        try:
+            fit = fit_histogram(build_histogram(arr, lo, hi, int(n_bins)), init=init)
+        except ValueError:
+            continue
+        if fit.converged:
+            per_count[k] = fit.params.mu, fit.params.sigma
     per_draw = per_count[draw_of]
     per_draw = per_draw[~np.isnan(per_draw[:, 0])]
     if not len(per_draw):

@@ -244,3 +244,26 @@ def test_c10_portfolio_cost_per_paper():
     cpp = totals.cost_per_paper
     assert abs(cpp - 64_780) < 1, f"cost per paper {cpp!r} not within EUR 1 of 64,780"
     assert round(cpp, -3) == 65_000, f"cost per paper {cpp!r} does not round to 65,000"
+
+
+def test_c11_default_fit_recovers_the_planted_lognormal(tmp_path):
+    # 2,500 exact quantiles of the planted lognormal inside (0, 8), cut at 0.1
+    # as the paper does: no sampling error, so what remains is the fit's bias.
+    planted = NormalDist(-0.0761, 0.933)
+    hi_cdf = planted.cdf(math.log(8.0))
+    values = [math.exp(planted.inv_cdf(hi_cdf * (k + 0.5) / 2500)) for k in range(2500)]
+    path = tmp_path / "pubs.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["award_code", "year", "pub_type", "fwci", "citations", "title", "source_id"])
+        for k, v in enumerate(v for v in values if v >= 0.1):
+            writer.writerow([f"{11 + k % 4:02d}/IA/{3000 + k % 148}", 2018, "article", repr(v), 1, f"t{k}", f"W{k}"])
+
+    out = tmp_path / "fit"
+    assert cli.main(["fit", "--input", str(path), "--fits", "200", "--out", str(out)]) == 0
+    lines = (out / "fit_report.txt").read_text(encoding="utf-8").splitlines()
+    report = dict(line.strip().split(" = ", 1) for line in lines if " = " in line)
+    mu, sigma = float(report["mu_p50"]), float(report["sigma_p50"])
+    assert abs(mu - (-0.0761)) <= 0.005 and abs(sigma - 0.933) <= 0.005, (
+        f"(mu_p50, sigma_p50) = ({mu!r}, {sigma!r}) outside (-0.0761, 0.933) +/- 0.005"
+    )

@@ -431,6 +431,25 @@ def test_fit_draws_the_reported_fit_restricted_to_its_window(corpus_path, tmp_pa
     mass = lognormal.percentile_of(8.0, central) - lognormal.percentile_of(0.1, central)
     expected = read_report_value(report, "fitted") * 0.1 / mass
     assert ratio == pytest.approx(np.full(xs.size, expected), rel=1e-9)
+    assert xs.min() >= 0.1
+
+
+def test_fit_keeps_a_value_exactly_at_the_low_cut(tmp_path, capsys):
+    # the cut keeps FWCI >= 0.1, so 0.1 itself is fitted, in the window's first bin
+    path = tmp_path / "pubs.csv"
+    values = [0.1] + [0.25 + 0.1 * i for i in range(39)]
+    rows = [[f"11/IA/{3000 + i % 5}", 2019, "article", repr(v), 1, "t", f"W{i}"] for i, v in enumerate(values)]
+    write_csv(path, list(CSV_COLUMNS), rows)
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(path), "--fits", "20", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = (out / "fit_report.txt").read_text(encoding="utf-8")
+    assert "  below_low_cut = 0\n" in report and "  fitted = 40\n" in report
+    assert "  window = 0.1:8.0\n" in report
+    with open(out / "hist_linear.csv", encoding="utf-8", newline="") as fh:
+        rows = [(float(r["center"]), int(r["count"])) for r in csv.DictReader(fh)]
+    assert sum(count for _, count in rows) == 40
+    assert rows[1] == (pytest.approx(0.15), 1)  # the bin [0.1, 0.2) holds 0.1 alone
 
 
 def test_fit_on_a_window_that_leaves_out_the_mode(corpus_path, tmp_path, capsys):
