@@ -12,7 +12,9 @@ scaled 60x (~190k rows, enough repeated codes, rejections and duplicates to
 exercise the parser at volume), ``fit`` at the default flags, ``fit`` with
 non-default ``--low-cut``, ``--range`` and ``--bins``, ``fit`` with no low
 cut, ``fit`` on the tail window ``--range 1:8``, which leaves out the mode
-e^mu so that mu lies outside every bin, ``benchmark``, ``benchmark`` with
+e^mu so that mu lies outside every bin, ``fit`` at ``--bins 2:30``, whose
+counts 2 and 3 always fail, so that one batch of fits mixes failed and
+converged ones, ``benchmark``, ``benchmark`` with
 five unsorted ``--sigma2`` values, ``curve``, ``curve`` with the same five
 values and an unsorted ``--n-list``, and ``curve`` at 70,000 reps, each in
 its own subdirectory of OUT_DIR, with small ensembles and Monte Carlo sizes
@@ -55,6 +57,7 @@ def runs(input_dir: str, input_60x_dir: str) -> dict[str, list[str]]:
         "fit-window": ["fit", *pubs, *SMALL, "--low-cut", "0.2", "--range", "0.15:6", "--bins", "30:300", "--seed", "7"],
         "fit-no-cut": ["fit", *pubs, *SMALL, "--low-cut", "0"],
         "fit-tail": ["fit", *pubs, *SMALL, "--range", "1:8"],
+        "fit-failures": ["fit", *pubs, *SMALL, "--bins", "2:30"],
         "benchmark": ["benchmark", *pubs, *SMALL],
         "benchmark-5-sigma2": ["benchmark", *pubs, *SMALL, "--sigma2", "1.8,0.5,1.3,2.2,1.0"],
         "curve": ["curve", *pubs, *SMALL, "--n-list", "1,5,10,46,100,400"],

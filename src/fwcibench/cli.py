@@ -308,21 +308,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if not math.isfinite(naive_mean_all):
         raise DataError("the eligible FWCI values sum past the largest float; no naive_mean_all")
     low, main = corpus.split_low_fwci(eligible, args.low_cut)
-    fit_values = np.array(
-        [r.fwci for r in main if fit_lo < r.fwci < fit_hi], dtype=float
-    )
+    window_lo = max(fit_lo, args.low_cut)  # the fitted sample lies in [window_lo, fit_hi)
+    fit_values = np.array([r.fwci for r in main if window_lo <= r.fwci < fit_hi and r.fwci > 0], dtype=float)
     n_outside = len(main) - fit_values.size
     if fit_values.size < 8:
-        raise DataError(
-            f"only {fit_values.size} values inside ({fit_lo!r}, {fit_hi!r}); too few to fit"
-        )
+        raise DataError(f"only {fit_values.size} values inside [{window_lo!r}, {fit_hi!r}); too few to fit")
     n_distinct = np.unique(fit_values).size
     if n_distinct < 4:
         raise DataError(
-            f"only {n_distinct} distinct values inside ({fit_lo!r}, {fit_hi!r}); a fit needs 4 non-empty bins"
+            f"only {n_distinct} distinct values inside [{window_lo!r}, {fit_hi!r}); a fit needs 4 non-empty bins"
         )
 
-    window_lo = max(fit_lo, args.low_cut)  # the fitted sample lies in [window_lo, fit_hi)
     ensemble = lognormal.ensemble_fit(
         fit_values, window_lo, fit_hi, *args.bins, args.fits, args.seed
     )

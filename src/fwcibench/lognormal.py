@@ -6,8 +6,9 @@ exp(-(ln x - mu)^2 / (2 sigma^2)) whose amplitude A absorbs the sample size
 and bin width, so raw bin counts can be fitted without normalizing them.
 Because best-fit parameters depend on the binning, confidence intervals come
 from refitting at many randomly drawn bin counts (each distinct count once,
-one after another in the calling process) and reading percentiles off the
-draws, whose median is the reported fit.
+in the calling process, with up to _CHUNK_BINS bins of fits in one lockstep
+Levenberg-Marquardt loop) and reading percentiles off the draws, whose
+median is the reported fit.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ import logging
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .corpus import NumericalError
 from .histogram import Histogram, build_histogram
-from .leastsq import damped_least_squares
+from .leastsq import damped_least_squares, damped_least_squares_batch
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +32,11 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # How many spans of its bin centers' ln range a fit's mu may lie outside it: a
 # window without the mode puts mu up to 5 out (at 4:8), a runaway fit some 1e5.
 _MU_SPANS_OUTSIDE = 100.0
+
+# Bins of fits in one lockstep LM loop at a time: enough fits to share NumPy's
+# per-call cost, and small enough that no array of the loop reaches 128 KB,
+# where glibc would map fresh pages for it on every call.
+_CHUNK_BINS = 4096
 
 
 @dataclass(frozen=True)
@@ -110,26 +117,23 @@ def gaussian(p, t: np.ndarray, div: np.ndarray | float = 1.0) -> np.ndarray:
     return amp * np.exp(-0.5 * z * z) / div
 
 
-def _fit_gaussian(t: np.ndarray, y: np.ndarray, div: np.ndarray | float, p0: list[float]):
-    """Least-squares fit of :func:`gaussian` to counts ``y`` at ``t``, from ``p0``.
+def _valid(p: np.ndarray):
+    """Whether each (A, mu, sigma) row lies in the model's domain: finite, A > 0 and sigma > 0."""
+    return np.isfinite(p).all(axis=-1) & (p[..., 0] > 0) & (p[..., 2] > 0)
 
-    The histogram fit divides by x (t = ln x); the ln-space fit divides by
-    1.0, which is exact, so both share one residual, Jacobian and domain.
+
+def _gaussian_model(q, cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Residual y - gaussian(q, t, div) at the columns (t, y, div), then its derivatives in A, mu and sigma.
+
+    ``q`` holds one (A, mu, sigma) for every column, or one per column.
     """
-
-    def residual(p: np.ndarray) -> np.ndarray:
-        return y - gaussian(p, t, div)
-
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        amp, mu, sigma = p
-        z = (t - mu) / sigma
-        shape = np.exp(-0.5 * z * z) / div
-        return np.column_stack((shape, amp * shape * z / sigma, amp * shape * z * z / sigma))
-
-    def valid(p: np.ndarray) -> bool:
-        return bool(np.isfinite(p).all()) and p[0] > 0 and p[2] > 0
-
-    return damped_least_squares(residual, jacobian, p0, valid=valid)
+    t, y, div = cols
+    amp, mu, sigma = q
+    z = (t - mu) / sigma
+    e = np.exp(-0.5 * z * z)
+    shape = e / div
+    amp_shape_z = amp * shape * z
+    return y - amp * e / div, shape, amp_shape_z / sigma, amp_shape_z * z / sigma
 
 
 def _moment_init(t: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
@@ -139,6 +143,45 @@ def _moment_init(t: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     mu0 = float((weights * t).sum() / total)
     var0 = float((weights * (t - mu0) ** 2).sum() / total)
     return mu0, max(math.sqrt(var0), 1e-3)
+
+
+def _fit_histograms(
+    hists: Iterable[Histogram], init: LognormalParams | None, max_rows: int | None = None
+) -> Iterator[LognormalFit | ValueError]:
+    """Fit each histogram in one lockstep LM loop; yield its LognormalFit, or the ValueError rejecting it."""
+    bins: list = []  # per histogram, the ValueError rejecting it or the ln range and count of its bin centers
+
+    def problems():
+        for hist in hists:
+            mask = hist.centers > 0
+            x = np.asarray(hist.centers[mask], dtype=float)
+            y = np.asarray(hist.counts[mask], dtype=float)
+            if int((y > 0).sum()) < 4:
+                bins.append(ValueError("histogram needs at least 4 non-empty bins with positive centers"))
+                continue
+            t = np.log(x)
+            mu0, sigma0 = _moment_init(t, y) if init is None else (init.mu, init.sigma)
+            peak = int(np.argmax(y))
+            z0 = (t[peak] - mu0) / sigma0
+            amp0 = max(y[peak] / max(math.exp(-0.5 * z0 * z0) / x[peak], 1e-300), 1e-12)
+            bins.append((t[0], t[-1], t.size))
+            yield [amp0, mu0, sigma0], np.stack((t, y, x))
+
+    results = iter(damped_least_squares_batch(_gaussian_model, problems(), max_rows=max_rows, valid=_valid))
+    for rejected_or_bins in bins:
+        if isinstance(rejected_or_bins, ValueError):
+            yield rejected_or_bins
+            continue
+        (t_lo, t_hi, n_bins), result = rejected_or_bins, next(results)
+        amp, mu, sigma = result.params
+        slack = _MU_SPANS_OUTSIDE * (t_hi - t_lo)
+        yield LognormalFit(
+            amplitude=float(amp),
+            params=LognormalParams(mu=float(mu), sigma=float(sigma)),
+            n_bins_used=n_bins,
+            residual_norm=float(math.sqrt(result.cost)),
+            converged=bool(result.converged and t_lo - slack <= mu <= t_hi + slack),
+        )
 
 
 def fit_histogram(hist: Histogram, init: LognormalParams | None = None) -> LognormalFit:
@@ -152,33 +195,14 @@ def fit_histogram(hist: Histogram, init: LognormalParams | None = None) -> Logno
     returns the last iterate flagged converged=False, and so does a fit
     whose mu lies outside the ln range of the bin centers used by more than
     _MU_SPANS_OUTSIDE spans: LM can converge there on a few non-empty bins.
+    A start whose residual is not finite comes back unconverged, unmoved.
+    This is the one-histogram case of :func:`ensemble_fit`'s batch, and
+    gives bit for bit what that batch gives the same histogram.
     """
-    mask = hist.centers > 0
-    x = np.asarray(hist.centers[mask], dtype=float)
-    y = np.asarray(hist.counts[mask], dtype=float)
-    if int((y > 0).sum()) < 4:
-        raise ValueError("histogram needs at least 4 non-empty bins with positive centers")
-    t = np.log(x)
-
-    if init is not None:
-        mu0, sigma0 = init.mu, init.sigma
-    else:
-        mu0, sigma0 = _moment_init(t, y)
-    peak = int(np.argmax(y))
-    z0 = (t[peak] - mu0) / sigma0
-    shape_at_peak = math.exp(-0.5 * z0 * z0) / x[peak]
-    amp0 = max(y[peak] / max(shape_at_peak, 1e-300), 1e-12)
-
-    result = _fit_gaussian(t, y, x, [amp0, mu0, sigma0])
-    amp, mu, sigma = result.params
-    slack = _MU_SPANS_OUTSIDE * (t[-1] - t[0])
-    return LognormalFit(
-        amplitude=float(amp),
-        params=LognormalParams(mu=float(mu), sigma=float(sigma)),
-        n_bins_used=int(x.size),
-        residual_norm=float(math.sqrt(result.cost)),
-        converged=bool(result.converged and t[0] - slack <= mu <= t[-1] + slack),
-    )
+    (fit,) = _fit_histograms([hist], init)
+    if isinstance(fit, ValueError):
+        raise fit
+    return fit
 
 
 def fit_normal_log(hist: Histogram) -> tuple[float, LognormalParams]:
@@ -196,7 +220,13 @@ def fit_normal_log(hist: Histogram) -> tuple[float, LognormalParams]:
 
     mu0, sigma0 = _moment_init(t, y)
     amp0 = max(float(y.max()), 1e-12)
-    result = _fit_gaussian(t, y, 1.0, [amp0, mu0, sigma0])
+    cols = np.stack((t, y, np.ones_like(t)))
+    result = damped_least_squares(
+        lambda p: _gaussian_model(p, cols)[0],
+        lambda p: np.stack(_gaussian_model(p, cols)[1:], axis=1),
+        [amp0, mu0, sigma0],
+        valid=_valid,
+    )
     if not result.converged:
         log.warning("normal fit to log histogram did not converge in %d iterations", result.n_iter)
     amp, mu, sigma = result.params
@@ -219,7 +249,9 @@ def ensemble_fit(
     count, and fits the scaled model. Every value must be positive and lie
     in that half-open window. A fit depends only on its bin count, so each
     distinct count is fitted once, in this process, and its result stands
-    for every draw of that count. The converged (mu, sigma) pairs of all
+    for every draw of that count. The counts are fitted in ascending order
+    in one lockstep LM loop that holds at most _CHUNK_BINS bins of fits at a
+    time; a fit gives the same bits whichever fits share the loop with it. The converged (mu, sigma) pairs of all
     draws feed the 2.5/50/97.5 percentiles (linear interpolation between
     order statistics); ``n_failed`` counts the draws whose fit failed, not
     the distinct counts. All fits start from the log-sample moments of
@@ -243,12 +275,9 @@ def ensemble_fit(
 
     bin_counts, draw_of = np.unique(bin_draws, return_inverse=True)
     per_count = np.full((bin_counts.size, 2), np.nan)
-    for k, n_bins in enumerate(bin_counts):
-        try:
-            fit = fit_histogram(build_histogram(arr, lo, hi, int(n_bins)), init=init)
-        except ValueError:
-            continue
-        if fit.converged:
+    hists = (build_histogram(arr, lo, hi, n_bins) for n_bins in bin_counts.tolist())
+    for k, fit in enumerate(_fit_histograms(hists, init, _CHUNK_BINS)):
+        if isinstance(fit, LognormalFit) and fit.converged:
             per_count[k] = fit.params.mu, fit.params.sigma
     per_draw = per_count[draw_of]
     per_draw = per_draw[~np.isnan(per_draw[:, 0])]

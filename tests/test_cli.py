@@ -452,6 +452,28 @@ def test_fit_keeps_a_value_exactly_at_the_low_cut(tmp_path, capsys):
     assert rows[1] == (pytest.approx(0.15), 1)  # the bin [0.1, 0.2) holds 0.1 alone
 
 
+def test_fit_keeps_a_value_exactly_at_the_range_low_end(tmp_path, capsys):
+    # the fitted window is [1.0, 8.0), half-open like its histograms, so 1.0 is fitted
+    path = tmp_path / "pubs.csv"
+    values = [1.0] + [1.15 + 0.1 * i for i in range(39)]
+    rows = [[f"11/IA/{3000 + i % 5}", 2019, "article", repr(v), 1, "t", f"W{i}"] for i, v in enumerate(values)]
+    write_csv(path, list(CSV_COLUMNS), rows)
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(path), "--range", "1:8", "--fits", "20", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = (out / "fit_report.txt").read_text(encoding="utf-8")
+    assert "  outside_fit_range = 0\n" in report and "  fitted = 40\n" in report
+    assert "  window = 1.0:8.0\n" in report
+
+
+def test_fit_names_the_half_open_window_when_too_few_values_remain(tmp_path, capsys):
+    path = tmp_path / "pubs.csv"
+    rows = [[f"11/IA/{3000 + i}", 2019, "article", repr(v), 1, "t", f"W{i}"] for i, v in enumerate([0.5, 1.0, 2.0])]
+    write_csv(path, list(CSV_COLUMNS), rows)
+    assert cli.main(["fit", "--input", str(path), "--range", "1:8", "--out", str(tmp_path / "out")]) == 2
+    assert "only 2 values inside [1.0, 8.0); too few to fit" in capsys.readouterr().err
+
+
 def test_fit_on_a_window_that_leaves_out_the_mode(corpus_path, tmp_path, capsys):
     # e^mu is near 0.93, below every bin of the window, at every default bin count
     out = tmp_path / "out"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import curve_fit
 
-from fwcibench.leastsq import damped_least_squares
+from fwcibench.leastsq import _solve, damped_least_squares, damped_least_squares_batch
 
 
 def test_linear_model_matches_normal_equations():
@@ -96,3 +96,117 @@ def test_iteration_cap_reported():
     result = damped_least_squares(residual, jacobian, [50.0], max_iter=1)
     assert result.n_iter <= 1
     assert not result.converged
+
+
+def linear_model(q, cols):
+    # y ~ a * u + b * v, one (u, v, y) column per residual row
+    u, v, y = cols
+    return y - (q[0] * u + q[1] * v), u, v
+
+
+def result_key(result):
+    return [v.hex() for v in result.params], result.cost.hex(), result.n_iter, result.converged
+
+
+def test_batch_gives_each_problem_its_result_alone_bit_for_bit():
+    x = np.linspace(0, 10, 40)
+    line = np.stack((np.ones_like(x), x, 3.0 + 0.7 * x + 0.05 * np.random.default_rng(0).standard_normal(x.size)))
+    nonfinite = line.copy()
+    nonfinite[2, 5] = np.inf
+    near_collinear = np.stack((np.ones_like(x), x + 1e3, 2.0 + 0.5 * x))
+    problems = [
+        ([0.0, 0.0], line),  # converges within the cap
+        ([-5.0, 0.0], line),  # starts outside the domain
+        ([0.0, 0.0], nonfinite),  # its cost is not finite at the start
+        ([0.0, 0.0], near_collinear),  # stopped by the cap
+        ([1.0, 1.0], np.array([[2.0], [1.0], [4.0]])),  # one row, fitted exactly
+    ]
+    kwargs = dict(valid=lambda ps: ps[:, 0] > -1, max_iter=4)
+    batch = damped_least_squares_batch(linear_model, problems, **kwargs)
+    assert [(r.n_iter, r.converged) for r in batch] == [(4, True), (0, False), (0, False), (4, False), (4, True)]
+    alone = [damped_least_squares_batch(linear_model, [problem], **kwargs)[0] for problem in problems]
+    assert [result_key(r) for r in batch] == [result_key(r) for r in alone]
+    one_at_a_time = damped_least_squares_batch(linear_model, problems, max_rows=1, **kwargs)
+    assert [result_key(r) for r in one_at_a_time] == [result_key(r) for r in alone]
+
+
+def test_a_singular_damped_system_rejects_only_its_own_step():
+    # J'J + lam * diag(J'J) stays regular for finite J at lam >= 1e-12, so the
+    # solver's fallback is checked directly: the singular system's step is NaN,
+    # which no trial accepts, and the others equal their solves alone
+    damped = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]], [[4.0, 0.5], [0.5, 1.0]]])
+    grad = np.array([[1.0, 2.0], [1.0, 1.0], [3.0, -1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(damped[1:2], grad[1:2, :, None])
+    step = _solve(damped, grad)
+    assert np.isnan(step[1]).all()
+    for i in (0, 2):
+        assert step[i].tolist() == np.linalg.solve(damped[i : i + 1], grad[i : i + 1, :, None])[0, :, 0].tolist()
+
+
+def reference_lm(residual, jacobian, p0, valid, max_iter=200):
+    """The one-problem loop the batch replaced, kept as its oracle: (params, converged)."""
+    p = np.asarray(p0, dtype=float).copy()
+    r = residual(p)
+    cost, lam, converged = float(r @ r), 1e-3, False
+    for _ in range(max_iter):
+        jac = jacobian(p)
+        grad, hess = jac.T @ r, jac.T @ jac
+        diag = hess.diagonal().copy()
+        diag[diag <= 0] = 1.0
+        if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
+            break
+        accepted = False
+        while lam <= 1e12:
+            try:
+                step = np.linalg.solve(hess + np.diag(lam * diag), grad)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            trial = p + step
+            if not valid(trial):
+                lam *= 10.0
+                continue
+            r_trial = residual(trial)
+            cost_trial = float(r_trial @ r_trial)
+            if np.isfinite(cost_trial) and cost_trial <= cost:
+                p, r, cost, lam, accepted = trial, r_trial, cost_trial, max(lam * 0.1, 1e-12), True
+                converged = np.hypot.reduce(step) <= 1e-10 * (1e-10 + np.hypot.reduce(p))
+                break
+            lam *= 10.0
+        if not accepted or converged:
+            break
+    return p, bool(converged)
+
+
+def scaled_lognormal(q, cols):
+    # counts y at bin centers x = e^t against (A / x) exp(-(t - mu)^2 / (2 sigma^2))
+    t, y, x = cols
+    amp, mu, sigma = q
+    z = (t - mu) / sigma
+    shape = np.exp(-0.5 * z * z) / x
+    return y - amp * shape, shape, amp * shape * z / sigma, amp * shape * z * z / sigma
+
+
+def test_batch_agrees_with_the_one_problem_loop_it_replaced():
+    # The two loops sum J'J and J'r in different orders, so each stops within its
+    # 1e-10 relative step of the same minimum; 1e-8 of the parameter norm allows
+    # for a hundred such steps.
+    values = np.exp(np.random.default_rng(3).normal(-0.08, 0.93, 2500))
+    problems = []
+    for lo, n_bins in [(0.0, 20), (0.0, 57), (0.1, 80), (0.1, 333), (1.0, 120), (0.0, 800)]:
+        counts, edges = np.histogram(values, bins=n_bins, range=(lo, 8.0))
+        x = (edges[:-1] + edges[1:]) / 2
+        peak = int(np.argmax(counts))
+        problems.append(([counts[peak] * x[peak], -0.1, 0.9], np.stack((np.log(x), counts.astype(float), x))))
+
+    def valid(ps):
+        return np.isfinite(ps).all(axis=-1) & (ps[..., 0] > 0) & (ps[..., 2] > 0)
+
+    batch = damped_least_squares_batch(scaled_lognormal, problems, valid=valid)
+    for (p0, cols), got in zip(problems, batch):
+        params, converged = reference_lm(
+            lambda p: scaled_lognormal(p, cols)[0], lambda p: np.stack(scaled_lognormal(p, cols)[1:], axis=1), p0, valid
+        )
+        assert got.converged == converged
+        assert np.linalg.norm(got.params - params) <= 1e-8 * np.linalg.norm(params)

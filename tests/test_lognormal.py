@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -193,23 +194,66 @@ def test_lm_iterates_are_pinned_bit_for_bit(trunc_sampler, monkeypatch):
     # change to the LM loop that moves a single bit is caught
     solves = []
 
-    def recording(*args, **kwargs):
-        solves.append(real(*args, **kwargs))
-        return solves[-1]
+    def recording(real):
+        def run(*args, **kwargs):
+            result = real(*args, **kwargs)
+            solves.append(result[0] if isinstance(result, list) else result)
+            return result
 
-    real = lognormal.damped_least_squares
-    monkeypatch.setattr(lognormal, "damped_least_squares", recording)
+        return run
+
+    monkeypatch.setattr(lognormal, "damped_least_squares", recording(lognormal.damped_least_squares))
+    monkeypatch.setattr(lognormal, "damped_least_squares_batch", recording(lognormal.damped_least_squares_batch))
     draws = trunc_sampler(3000, P_FIT.mu, P_FIT.sigma, seed=2024)
 
     fit = fit_histogram(build_histogram(draws, 0.0, 8.0, 60))
     got = [v.hex() for v in (fit.amplitude, fit.params.mu, fit.params.sigma, fit.residual_norm)]
-    assert got == ["0x1.669884f9001abp+7", "-0x1.bfd36dbd8a3a3p-4", "0x1.c7d749bb1330ep-1", "0x1.977ae460f3fe2p+5"]
+    assert got == ["0x1.669884f9001aap+7", "-0x1.bfd36dbd8a37fp-4", "0x1.c7d749bb13313p-1", "0x1.977ae460f3fddp+5"]
     assert (solves[-1].n_iter, fit.converged) == (9, True)
 
     amp, p = fit_normal_log(build_histogram(np.log(draws), math.log(0.005), math.log(8.0), 40))
     got = [v.hex() for v in (amp, p.mu, p.sigma, math.sqrt(solves[-1].cost))]
-    assert got == ["0x1.f0cff62ef8053p+7", "-0x1.cc1c45235252dp-4", "0x1.c6673db4fd9d0p-1", "0x1.a5aec094d4997p+5"]
+    assert got == ["0x1.f0cff62ef803dp+7", "-0x1.cc1c4523524e7p-4", "0x1.c6673db4fd9efp-1", "0x1.a5aec094d4996p+5"]
     assert (solves[-1].n_iter, solves[-1].converged) == (7, True)
+
+
+def fit_key(fit):
+    if isinstance(fit, ValueError):
+        return str(fit)
+    return [v.hex() for v in (fit.amplitude, fit.params.mu, fit.params.sigma, fit.residual_norm)], fit.converged
+
+
+def fit_alone(hist):
+    try:
+        return fit_key(fit_histogram(hist))
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_one_batch_gives_each_histogram_its_fit_alone_bit_for_bit(trunc_sampler, monkeypatch):
+    # one lockstep batch mixing a histogram with too few bins, a fit stopped by
+    # the 200-iteration cap, a runaway whose mu leaves its bins and two that converge
+    capped = np.exp(np.random.default_rng(6).normal(0.0, 2.0, 30))
+    draws = trunc_sampler(3000, P_FIT.mu, P_FIT.sigma, seed=5)
+    hists = [
+        build_histogram(draws, 0.0, 8.0, 40),
+        build_histogram([0.5, 2.5, 4.5], 0.0, 8.0, 8),
+        build_histogram(capped[capped < 8.0], 0.0, 8.0, 80),
+        build_histogram(np.linspace(4e305, 8e306, 20), 0.0, 1.7e308, 87),
+        build_histogram(draws, 0.0, 8.0, 300),
+    ]
+    batches = []
+
+    def recording(*args, **kwargs):
+        batches.append(real(*args, **kwargs))
+        return batches[-1]
+
+    real = lognormal.damped_least_squares_batch
+    monkeypatch.setattr(lognormal, "damped_least_squares_batch", recording)
+    batch = list(lognormal._fit_histograms(hists, None))
+    assert [(r.n_iter, r.converged) for r in batches[0]] == [(8, True), (200, False), (1, True), (7, True)]
+    assert isinstance(batch[1], ValueError) and batch[3].params.mu > 1e5 and not batch[3].converged
+    assert [fit_key(fit) for fit in batch] == [fit_alone(hist) for hist in hists]
 
 
 def test_normal_log_needs_enough_bins():
@@ -328,6 +372,32 @@ def test_ensemble_counts_every_failed_draw():
     bin_draws = np.random.default_rng(5).integers(2, 30, size=40, endpoint=True)
     failing = bin_draws[bin_draws < 4]
     assert (ens.n_failed, failing.size, len(np.unique(failing))) == (6, 6, 2)
+
+
+def test_ensemble_does_not_depend_on_how_its_fits_are_batched(trunc_sampler, monkeypatch):
+    # bin counts 2 and 3 always fail; at a 1-bin cap every fit runs alone
+    args = (trunc_sampler(2000, P_FIT.mu, P_FIT.sigma, seed=31), 0.0, 8.0, 2, 300, 150)
+    batched = ensemble_fit(*args, seed=3)
+    monkeypatch.setattr(lognormal, "_CHUNK_BINS", 1)
+    assert ensemble_fit(*args, seed=3) == batched
+    assert batched.n_failed > 0
+
+
+def test_ensemble_memory_is_bounded_by_its_batch_not_its_draws():
+    # C11's sample at the default 10,000 fits; every distinct count held at
+    # once would take tens of MB
+    planted = NormalDist(-0.0761, 0.933)
+    hi_cdf = planted.cdf(math.log(8.0))
+    values = np.array([math.exp(planted.inv_cdf(hi_cdf * (k + 0.5) / 2500)) for k in range(2500)])
+    values = values[values >= 0.1]
+    ensemble_fit(values, 0.1, 8.0, 20, 800, 1, seed=42)  # first-call set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        ensemble_fit(values, 0.1, 8.0, 20, 800, 10_000, seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
 
 
 def test_ensemble_input_validation():
