@@ -16,13 +16,15 @@ e^mu so that mu lies outside every bin, ``fit`` at ``--bins 2:30``, whose
 counts 2 and 3 always fail, so that one batch of fits mixes failed and
 converged ones, ``benchmark``, ``benchmark`` with
 five unsorted ``--sigma2`` values, ``curve``, ``curve`` with the same five
-values and an unsorted ``--n-list``, and ``curve`` at 70,000 reps, each in
-its own subdirectory of OUT_DIR, with small ensembles and Monte Carlo sizes
-so the whole run takes seconds. The Monte Carlo splits its reps into blocks
-of at most 2**15, each with its own stream and one task per block on a
-thread pool: the other runs' 4,000 reps are one block, and the 70,000-rep
-curve is three. Each command's stdout is kept as ``stdout.txt`` beside its
-output files.
+values and an unsorted ``--n-list``, ``curve`` at 70,000 reps, and ``curve``
+at 4,001 reps, each in its own subdirectory of OUT_DIR, with small ensembles
+and Monte Carlo sizes so the whole run takes seconds. The Monte Carlo splits
+its reps into blocks of at most 2**15, each with its own stream and one task
+per block on a thread pool: the other runs' 4,000 reps are one block, and the
+70,000-rep curve is three. A median of an even number of reps averages the
+two central values and one of an odd number takes the central one, so the
+4,001-rep curve covers the odd case. Each command's stdout is kept as
+``stdout.txt`` beside its output files.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ def runs(input_dir: str, input_60x_dir: str) -> dict[str, list[str]]:
         "curve": ["curve", *pubs, *SMALL, "--n-list", "1,5,10,46,100,400"],
         "curve-5-sigma2": ["curve", *pubs, *SMALL, "--n-list", "400,1,46,5", "--sigma2", "1.8,0.5,1.3,2.2,1.0"],
         "curve-blocks": ["curve", *pubs, *SMALL, "--reps", "70000", "--n-list", "1,5"],
+        "curve-odd-reps": ["curve", *pubs, *SMALL, "--reps", "4001", "--n-list", "1,5,46"],
     }
 
 

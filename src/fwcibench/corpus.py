@@ -420,8 +420,14 @@ def summarize_awards(
 
 
 def load_budgets(stream: TextIO) -> tuple[dict[str, float], list[RowRejection]]:
-    """Read a two-column budget file (award_code, budget_eur) keyed by normalized code."""
+    """Read a two-column budget file (award_code, budget_eur) keyed by normalized code.
+
+    A row whose normalized code an earlier accepted row already holds is
+    rejected: the first amount is kept, as :func:`dedupe_per_award` keeps the
+    first record.
+    """
     budgets: dict[str, float] = {}
+    first_rows: dict[str, int] = {}
     rejections: list[RowRejection] = []
     for line_num, (code_cell, amount_cell), cells in _csv_rows(stream, ("award_code", "budget_eur"), "budget"):
         try:
@@ -436,6 +442,11 @@ def load_budgets(stream: TextIO) -> tuple[dict[str, float], list[RowRejection]]:
             continue
         if not math.isfinite(amount) or amount < 0:
             reason = "budget_eur must be a finite non-negative amount"
+            rejections.append(RowRejection(line_num, reason, ",".join(cells)))
+            continue
+        first = first_rows.setdefault(code, line_num)
+        if first != line_num:
+            reason = f"award code {code} repeats row {first}; the first amount is kept"
             rejections.append(RowRejection(line_num, reason, ",".join(cells)))
             continue
         budgets[code] = amount

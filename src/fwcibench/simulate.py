@@ -11,7 +11,8 @@ its own stream keyed by (seed, b). Paper j's standard normals are drawn once
 per block and serve every baseline and every paper count from j on: common
 random numbers across sigma_sq and n. So adding or reordering paper counts or
 baselines never perturbs other results, no result depends on the number of
-threads, and the medians are correlated with each other. Memory is one
+threads, and the medians are correlated with each other. Blocks advance on
+a thread pool and the calling thread takes the medians. Memory is one
 reps-long running sum per baseline plus the normals and one scratch array.
 """
 
@@ -134,6 +135,7 @@ def _run(wanted: list[int], sigmas: list[float], reps: int, seed: int) -> list[d
     # numpy.random, whose memory would otherwise land in a worker's malloc arena.
     streams = [_stream(seed, b) for b in range(n_blocks)]
     totals, normals, scratch = np.zeros((len(params), reps)), np.empty(reps), np.empty(reps)
+    half = reps // 2
     out: list[dict[int, float]] = [{} for _ in params]
 
     def advance(b: int, start: int, stop: int) -> None:
@@ -148,21 +150,17 @@ def _run(wanted: list[int], sigmas: list[float], reps: int, seed: int) -> list[d
                 np.exp(x, out=x)
                 total[rows] += x
 
-    def take_medians(first: int, n: int, buf: np.ndarray) -> None:
-        # Between advances normals and scratch are free: each of the two median tasks
-        # partitions its copies in one. np.median averages the central pair if reps is even.
-        for i in range(first, len(params), 2):
-            np.copyto(buf, totals[i])
-            out[i][n] = float(np.median(buf, overwrite_input=True)) / n
-
     # Imported here: at module load it would add ~0.3 MB to commands that start no thread.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor() as pool:
         for done, n in zip([0, *wanted], wanted):
             list(pool.map(advance, range(n_blocks), [done] * n_blocks, [n] * n_blocks))
-            list(pool.map(take_medians, range(min(2, len(params))), [n, n], [normals, scratch]))
-            for sigma_sq, values in zip(sigmas, out):
+            for sigma_sq, total, values in zip(sigmas, totals, out):
+                # np.median's value from one partition: at even reps np.median partitions at two ranks, ~8x the time
+                np.copyto(scratch, total)
+                scratch.partition(half)
+                values[n] = float(scratch[half] if reps % 2 else (scratch[:half].max() + scratch[half]) / 2) / n
                 if not values[n] > 0:
                     raise NumericalError(f"simulated median of means underflows to {values[n]!r} at sigma2 = {sigma_sq!r}, n = {n}")
     return out
@@ -187,10 +185,10 @@ def median_curve(n_values, baselines, reps: int, seed: int) -> list[MedianCurveP
 
     All baselines share each block's standard normals, which are drawn once,
     so each point equals what medians gives. At each requested n, every block
-    advances to n as one task on a default-sized thread pool, then two tasks
-    take the medians; no point depends on the number of threads. Memory is
-    one reps-long running sum per baseline plus the normals and one scratch
-    array, each reps long.
+    advances to n as one task on a default-sized thread pool, then the
+    calling thread takes the medians; no point depends on the number of
+    threads. Memory is one reps-long running sum per baseline plus the
+    normals and one scratch array, each reps long.
     """
     n_list = [int(n) for n in n_values]
     wanted = _checked(n_list, reps, seed)

@@ -637,6 +637,18 @@ def test_load_budgets():
     ]
 
 
+def test_a_repeated_budget_code_keeps_the_first_amount():
+    # rows 2, 4 and 6 normalize to one code; row 3's rejected amount claims nothing, so row 5 is the first for 12/IA/1571
+    text = "award_code,budget_eur\n08/IA/1234,100\n12/IA/1571,-1\nSFI/08/IA/1234,900\n12/IA/1571,50\n08/1A/1234,7\n"
+    budgets, rejections = corpus.load_budgets(io.StringIO(text))
+    assert budgets == {"08/IA/1234": 100.0, "12/IA/1571": 50.0}
+    assert [(r.row, r.reason, r.raw) for r in rejections] == [
+        (3, "budget_eur must be a finite non-negative amount", "12/IA/1571,-1"),
+        (4, "award code 08/IA/1234 repeats row 2; the first amount is kept", "SFI/08/IA/1234,900"),
+        (6, "award code 08/IA/1234 repeats row 2; the first amount is kept", "08/1A/1234,7"),
+    ]
+
+
 def test_budget_amounts_are_read_like_record_numbers():
     text = "award_code,budget_eur\n12/IA/1570,1_000\n12/IA/1571,１０\n12/IA/1572, 2500 \n"
     budgets, rejections = corpus.load_budgets(io.StringIO(text))

@@ -151,6 +151,55 @@ def test_medians_equal_median_of_direct_means():
         assert got[n] == pytest.approx(float(np.median(draws[:n].mean(axis=0))), rel=1e-14)
 
 
+def fed_median(monkeypatch, z, sigma_sq=1.0):
+    """medians' one-paper median over len(z) reps whose paper draws the normals z, block by block."""
+    n_blocks = -(-len(z) // simulate._BLOCK)
+
+    class FedStream:
+        def __init__(self, seed, block):
+            self.rows = slice(block * len(z) // n_blocks, (block + 1) * len(z) // n_blocks)
+
+        def standard_normal(self, out):
+            out[:] = z[self.rows]
+
+    monkeypatch.setattr(simulate, "_stream", FedStream)
+    return medians([1], sigma_sq, len(z), 0)[1]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 2**15, 2**15 + 1])
+def test_median_read_is_np_median_to_the_bit(monkeypatch, size):
+    # One paper: each rep's running sum is e^(mu + sigma z) of the normal fed to it.
+    rng = np.random.default_rng(size)
+    params = BaselineField(1.0).params
+    upper_half_inf = np.where(np.arange(size) < size // 2, rng.standard_normal(size), np.inf)
+    cases = {
+        "normal": rng.standard_normal(size),
+        "ties": rng.integers(-1, 2, size).astype(float),
+        "some inf": np.where(rng.random(size) < 0.3, np.inf, rng.standard_normal(size)),
+        "upper half inf": rng.permutation(upper_half_inf),
+        "all inf": np.full(size, np.inf),
+        # every sum is the subnormal 3 * 2**-1074: (a + b) / 2 keeps it, a / 2 + b / 2 rounds to 4 units
+        "subnormal ties": np.full(size, -742.8),
+    }
+    for name, z in cases.items():
+        expected = float(np.median(np.exp(z * params.sigma + params.mu)))
+        assert fed_median(monkeypatch, z).hex() == expected.hex(), name
+
+
+@pytest.mark.parametrize("reps", [4000, 4001, 2**15 + 1])
+def test_median_read_of_running_sums_is_np_median_to_the_bit(reps):
+    # the running sums rebuilt from each block's stream, adding paper by paper as the kernel does
+    seed, sigma_sq = 4, 1.3
+    params = BaselineField(sigma_sq).params
+    n_blocks = -(-reps // simulate._BLOCK)
+    sizes = [(b + 1) * reps // n_blocks - b * reps // n_blocks for b in range(n_blocks)]
+    streams = [np.random.default_rng(np.random.SeedSequence([seed, b])) for b in range(n_blocks)]
+    z = np.hstack([[rng.standard_normal(size) for _ in range(46)] for rng, size in zip(streams, sizes)])
+    totals = np.cumsum(np.exp(z * params.sigma + params.mu), axis=0)
+    got = medians([1, 5, 46], sigma_sq, reps, seed)
+    assert {n: v.hex() for n, v in got.items()} == {n: (float(np.median(totals[n - 1])) / n).hex() for n in (1, 5, 46)}
+
+
 def test_median_that_underflows_is_an_error():
     # mu = -1000: the median draw, e^-1000, underflows to 0
     with pytest.raises(NumericalError, match=r"sigma2 = 2000\.0, n = 1"):
