@@ -1,10 +1,16 @@
 """Golden run: every CLI command on the benchmark portfolio, with a SHA-256 per output file.
 
-The oracle for a refactor that must keep output byte-identical. Run it from
-the old and from the new checkout with the same OUT_DIR (the reports echo
-their input and output paths) and diff what the two runs print:
+The oracle for a refactor that must keep output byte-identical:
 
     python3 scripts/golden.py OUT_DIR
+    python3 scripts/golden.py OUT_DIR --against OTHER_SRC
+
+The first form prints every output file's hash. The second runs every
+command with the package in OTHER_SRC (another checkout's ``src``
+directory) and then with this tree's, into the same run directories, since
+the reports echo their input and output paths. It prints only the files
+whose hashes differ and exits 1 if any do. Either form exits 2 if a command
+fails.
 
 The portfolio is ``perfbench/generate.py``'s at a fixed seed. The run covers
 ``ingest`` with budgets, ``ingest`` with budgets on the same seed's portfolio
@@ -29,6 +35,7 @@ two central values and one of an odd number takes the central one, so the
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import shutil
@@ -69,16 +76,10 @@ def runs(input_dir: str, input_60x_dir: str) -> dict[str, list[str]]:
     }
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: golden.py OUT_DIR", file=sys.stderr)
-        return 1
-    out_dir = argv[0]
-    input_dir = os.path.join(out_dir, "input")
-    input_60x_dir = os.path.join(out_dir, "input-60x")
-    generate.generate(SEED, 1, input_dir)
-    generate.generate(SEED, 60, input_60x_dir)
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+def run_all(src: str, out_dir: str, input_dir: str, input_60x_dir: str) -> dict[str, str] | None:
+    """Run every command with the package in ``src``; each output file's SHA-256 by path, or None if one fails."""
+    env = dict(os.environ, PYTHONPATH=src)
+    hashes = {}
     for name, cli_args in runs(input_dir, input_60x_dir).items():
         run_dir = os.path.join(out_dir, name)
         shutil.rmtree(run_dir, ignore_errors=True)  # a file the command no longer writes must not linger
@@ -86,15 +87,40 @@ def main(argv: list[str]) -> int:
         cmd = [sys.executable, "-m", "fwcibench.cli", *cli_args, "--out", run_dir]
         done = subprocess.run(cmd, env=env, capture_output=True, text=True)
         if done.returncode != 0:
-            print(f"{name}: exit {done.returncode}\n{done.stderr[-2000:]}", file=sys.stderr)
-            return 1
+            print(f"{name} ({src}): exit {done.returncode}\n{done.stderr[-2000:]}", file=sys.stderr)
+            return None
         with open(os.path.join(run_dir, "stdout.txt"), "w", encoding="utf-8") as fh:
             fh.write(done.stdout)
         for file_name in sorted(os.listdir(run_dir)):
             path = os.path.join(run_dir, file_name)
             with open(path, "rb") as fh:
-                print(f"{hashlib.sha256(fh.read()).hexdigest()}  {path}")
-    return 0
+                hashes[path] = hashlib.sha256(fh.read()).hexdigest()
+    return hashes
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Hash every CLI output file on the benchmark portfolio.")
+    parser.add_argument("out_dir", metavar="OUT_DIR")
+    parser.add_argument(
+        "--against", metavar="OTHER_SRC", help="print only the files whose hashes differ from OTHER_SRC's"
+    )
+    args = parser.parse_args(argv)
+    input_dir = os.path.join(args.out_dir, "input")
+    input_60x_dir = os.path.join(args.out_dir, "input-60x")
+    generate.generate(SEED, 1, input_dir)
+    generate.generate(SEED, 60, input_60x_dir)
+    theirs = {} if args.against is None else run_all(args.against, args.out_dir, input_dir, input_60x_dir)
+    ours = None if theirs is None else run_all(os.path.join(ROOT, "src"), args.out_dir, input_dir, input_60x_dir)
+    if ours is None:
+        return 2
+    if args.against is None:
+        for path, digest in ours.items():
+            print(f"{digest}  {path}")
+        return 0
+    differ = sorted(path for path in theirs.keys() | ours.keys() if theirs.get(path) != ours.get(path))
+    for path in differ:
+        print(path)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

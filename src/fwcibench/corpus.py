@@ -257,7 +257,7 @@ def _jsonl_rows(stream: TextIO) -> Iterator[tuple[int, tuple[object, ...] | str,
     too long), or holds a ``\\udXXX`` escape that no output file can encode.
     """
     for lineno, line in enumerate(stream, start=1):
-        raw = line.rstrip("\n")
+        raw = line.rstrip("\r\n")
         if not raw.strip():
             continue
         try:
@@ -303,8 +303,8 @@ def parse_records(stream: TextIO, fmt: str = "csv") -> tuple[list[PublicationRec
 
 
 def _read_file(path: str, parse: Callable[[TextIO], tuple]) -> tuple:
-    """``parse`` the UTF-8 text file at ``path``; a format error names the file."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """``parse`` the UTF-8 text file at ``path``, less a leading byte-order mark; a format error names the file."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             return parse(fh)
         except (DataError, UnicodeDecodeError) as exc:

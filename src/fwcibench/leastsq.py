@@ -8,6 +8,12 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+# Residual rows in one lockstep loop at a time: enough problems to share NumPy's per-call cost, and
+# few enough that no array of the loop reaches 128 KB, where glibc would map fresh pages for it on
+# every call.
+_MAX_ROWS = 4096
+_MAX_ITER = 200
+
 
 @dataclass
 class LeastSquaresResult:
@@ -18,29 +24,21 @@ class LeastSquaresResult:
 
 
 def damped_least_squares(
-    residual: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
+    model: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]],
     p0,
+    cols: np.ndarray,
     *,
-    valid: Callable[[np.ndarray], bool] | None = None,
-    max_iter: int = 200,
+    valid: Callable[[np.ndarray], np.ndarray],
 ) -> LeastSquaresResult:
-    """Minimize sum(residual(p)**2): the one-problem case of :func:`damped_least_squares_batch`.
+    """Minimize one problem's sum of squares: the one-problem case of :func:`damped_least_squares_batch`.
 
-    ``residual(p)`` returns data minus model, ``jacobian(p)`` the model's derivative matrix (one
-    column per parameter) and ``valid(p)``, when given, whether p lies in the model's domain. A start
-    outside that domain, or with a non-finite residual, raises ValueError.
+    ``model``, ``cols`` and ``valid`` follow that function's convention. A start outside the model's
+    domain, or with a non-finite residual, raises ValueError.
     """
     p = np.asarray(p0, dtype=float)
-    if valid is not None and not valid(p):
+    if not valid(p[None])[0]:
         raise ValueError("initial parameters are outside the model domain")
-
-    def model(q: np.ndarray, _: np.ndarray) -> tuple[np.ndarray, ...]:
-        return np.asarray(residual(q[:, 0]), dtype=float), *np.asarray(jacobian(q[:, 0]), dtype=float).T
-
-    rows = np.empty((0, np.size(residual(p))))
-    batch_valid = None if valid is None else (lambda ps: np.array([bool(valid(ps[0]))]))
-    (result,) = damped_least_squares_batch(model, [(p, rows)], valid=batch_valid, max_iter=max_iter)
+    (result,) = damped_least_squares_batch(model, [(p, cols)], valid=valid)
     if not math.isfinite(result.cost):
         raise ValueError("residual is not finite at the initial parameters")
     return result
@@ -50,9 +48,7 @@ def damped_least_squares_batch(
     model: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]],
     problems: Iterable[tuple[np.ndarray, np.ndarray]],
     *,
-    max_rows: int | None = None,
-    valid: Callable[[np.ndarray], np.ndarray] | None = None,
-    max_iter: int = 200,
+    valid: Callable[[np.ndarray], np.ndarray],
 ) -> list[LeastSquaresResult]:
     """Minimize independent sums of squares in one lockstep damped Gauss-Newton loop.
 
@@ -60,16 +56,16 @@ def damped_least_squares_batch(
     columns of ``data``, shape (d, n >= 1). ``model(q, cols)`` gets several problems' columns side by
     side, with ``q[:, j]`` the parameters of column j's problem, and returns 1 + m arrays over those
     columns: the residual (data minus model), then the model's derivative in each parameter.
-    ``valid(ps)``, when given, says which rows of ``ps`` lie in the model's domain. Problems join the
-    working set in order, up to ``max_rows`` rows (or one problem alone) whenever it holds at most
-    half that, and leave it when they finish. Results come back in the order of ``problems``.
+    ``valid(ps)`` says which rows of ``ps`` lie in the model's domain. Problems join the working set
+    in order, up to _MAX_ROWS rows (or one problem alone) whenever it holds at most half that, and
+    leave it when they finish. Results come back in the order of ``problems``.
 
     Each problem keeps its own damping and stopping rules. A step solves (J'J + lam diag(J'J)) d = J'r,
     zeros on that diagonal read as 1, and is accepted only if the cost does not increase; a singular
     system, a trial outside the domain or a non-finite trial cost rejects it. lam starts at 1e-3 and
     is multiplied by 10 on a rejection and by 0.1 (down to 1e-12) on an acceptance. A problem
     converges when an accepted step is below 1e-10 of its parameter norm, and stops unconverged on a
-    non-finite J'J or J'r, after ``max_iter`` iterations (the start begins the first, each accepted
+    non-finite J'J or J'r, after _MAX_ITER (200) iterations (the start begins the first, each accepted
     step the next) or when lam passes 1e12. A start outside the domain or with a non-finite cost is
     not iterated: n_iter 0. Each sum runs over one problem's rows alone, so no result depends on the
     problems it ran with.
@@ -97,22 +93,22 @@ def damped_least_squares_batch(
     p, s, lam = np.empty((0, m)), np.empty((0, len(pairs))), np.empty(0)
     cols = np.asarray(head[1], dtype=float)[:, :0]
     while live.size or head is not None:
-        if head is not None and (max_rows is None or 2 * n.sum() <= max_rows):
+        if head is not None and 2 * n.sum() <= _MAX_ROWS:
             new, rows = [], n.sum()
-            while head is not None and (max_rows is None or not new or rows + head[1].shape[1] <= max_rows):
+            while head is not None and (not new or rows + head[1].shape[1] <= _MAX_ROWS):
                 new.append(head)
                 rows += head[1].shape[1]
                 head = next(queue, None)
             p0, n0 = np.array([start for start, _ in new], dtype=float), np.array([d.shape[1] for _, d in new])
             if np.any(n0 < 1):
                 raise ValueError("every problem needs at least one residual row")
-            ok = np.ones(len(new), dtype=bool) if valid is None else valid(p0)
+            ok = valid(p0)
             ids = len(results) + np.flatnonzero(ok)
             results.extend(LeastSquaresResult(start, math.nan, 0, False) for start in p0)
             c0 = np.compress(np.repeat(ok, n0), np.concatenate([d for _, d in new], axis=1), axis=1)
             p0, n0 = p0[ok], n0[ok]
             s0 = sums(p0, c0, n0)
-            begun = np.isfinite(s0[:, 0]) & (max_iter >= 1)
+            begun = np.isfinite(s0[:, 0])
             go = begun & np.isfinite(s0).all(axis=1)
             finish(ids[~go], p0[~go], s0[~go, 0], begun[~go].astype(int), go[~go])
             cols = np.concatenate((cols, np.compress(np.repeat(go, n0), c0, axis=1)), axis=1)
@@ -126,14 +122,14 @@ def damped_least_squares_batch(
         damped[:, on_diag, on_diag] = diag + lam[:, None] * np.where(diag > 0, diag, 1.0)
         step = _solve(damped, s[:, grad_at])
         trial = p + step
-        ok = np.isfinite(trial).all(axis=1) if valid is None else valid(trial)
+        ok = valid(trial)
         s_trial = sums(np.where(ok[:, None], trial, p), cols, n)
         accept = ok & (s_trial[:, 0] <= s[:, 0])  # a NaN or infinite trial cost compares False
         p, s = np.where(accept[:, None], trial, p), np.where(accept[:, None], s_trial, s)
         lam = np.where(accept, np.maximum(lam * 0.1, 1e-12), lam * 10.0)
         # hypot cannot overflow; initial=0 makes a one-parameter norm |x|
         small = np.hypot.reduce(step, axis=1, initial=0.0) <= 1e-10 * (1e-10 + np.hypot.reduce(p, axis=1, initial=0.0))
-        more = accept & ~small & (it < max_iter)
+        more = accept & ~small & (it < _MAX_ITER)
         it += more
         go_on = np.where(accept, more & np.isfinite(s).all(axis=1), lam <= 1e12)
         if not go_on.all():

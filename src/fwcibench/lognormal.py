@@ -6,9 +6,8 @@ exp(-(ln x - mu)^2 / (2 sigma^2)) whose amplitude A absorbs the sample size
 and bin width, so raw bin counts can be fitted without normalizing them.
 Because best-fit parameters depend on the binning, confidence intervals come
 from refitting at many randomly drawn bin counts (each distinct count once,
-in the calling process, with up to _CHUNK_BINS bins of fits in one lockstep
-Levenberg-Marquardt loop) and reading percentiles off the draws, whose
-median is the reported fit.
+in the calling process, in one lockstep Levenberg-Marquardt loop) and reading
+percentiles off the draws, whose median is the reported fit.
 """
 
 from __future__ import annotations
@@ -32,11 +31,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # How many spans of its bin centers' ln range a fit's mu may lie outside it: a
 # window without the mode puts mu up to 5 out (at 4:8), a runaway fit some 1e5.
 _MU_SPANS_OUTSIDE = 100.0
-
-# Bins of fits in one lockstep LM loop at a time: enough fits to share NumPy's
-# per-call cost, and small enough that no array of the loop reaches 128 KB,
-# where glibc would map fresh pages for it on every call.
-_CHUNK_BINS = 4096
 
 
 @dataclass(frozen=True)
@@ -125,7 +119,7 @@ def _valid(p: np.ndarray):
 def _gaussian_model(q, cols: np.ndarray) -> tuple[np.ndarray, ...]:
     """Residual y - gaussian(q, t, div) at the columns (t, y, div), then its derivatives in A, mu and sigma.
 
-    ``q`` holds one (A, mu, sigma) for every column, or one per column.
+    ``q`` holds one (A, mu, sigma) per column.
     """
     t, y, div = cols
     amp, mu, sigma = q
@@ -145,9 +139,7 @@ def _moment_init(t: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     return mu0, max(math.sqrt(var0), 1e-3)
 
 
-def _fit_histograms(
-    hists: Iterable[Histogram], init: LognormalParams | None, max_rows: int | None = None
-) -> Iterator[LognormalFit | ValueError]:
+def _fit_histograms(hists: Iterable[Histogram], init: LognormalParams | None) -> Iterator[LognormalFit | ValueError]:
     """Fit each histogram in one lockstep LM loop; yield its LognormalFit, or the ValueError rejecting it."""
     bins: list = []  # per histogram, the ValueError rejecting it or the ln range and count of its bin centers
 
@@ -167,7 +159,7 @@ def _fit_histograms(
             bins.append((t[0], t[-1], t.size))
             yield [amp0, mu0, sigma0], np.stack((t, y, x))
 
-    results = iter(damped_least_squares_batch(_gaussian_model, problems(), max_rows=max_rows, valid=_valid))
+    results = iter(damped_least_squares_batch(_gaussian_model, problems(), valid=_valid))
     for rejected_or_bins in bins:
         if isinstance(rejected_or_bins, ValueError):
             yield rejected_or_bins
@@ -220,13 +212,7 @@ def fit_normal_log(hist: Histogram) -> tuple[float, LognormalParams]:
 
     mu0, sigma0 = _moment_init(t, y)
     amp0 = max(float(y.max()), 1e-12)
-    cols = np.stack((t, y, np.ones_like(t)))
-    result = damped_least_squares(
-        lambda p: _gaussian_model(p, cols)[0],
-        lambda p: np.stack(_gaussian_model(p, cols)[1:], axis=1),
-        [amp0, mu0, sigma0],
-        valid=_valid,
-    )
+    result = damped_least_squares(_gaussian_model, [amp0, mu0, sigma0], np.stack((t, y, np.ones_like(t))), valid=_valid)
     if not result.converged:
         log.warning("normal fit to log histogram did not converge in %d iterations", result.n_iter)
     amp, mu, sigma = result.params
@@ -250,11 +236,12 @@ def ensemble_fit(
     in that half-open window. A fit depends only on its bin count, so each
     distinct count is fitted once, in this process, and its result stands
     for every draw of that count. The counts are fitted in ascending order
-    in one lockstep LM loop that holds at most _CHUNK_BINS bins of fits at a
-    time; a fit gives the same bits whichever fits share the loop with it. The converged (mu, sigma) pairs of all
-    draws feed the 2.5/50/97.5 percentiles (linear interpolation between
-    order statistics); ``n_failed`` counts the draws whose fit failed, not
-    the distinct counts. All fits start from the log-sample moments of
+    in one lockstep LM loop (see :func:`damped_least_squares_batch` for how
+    many at a time); a fit gives the same bits whichever fits share the loop
+    with it. The converged (mu, sigma) pairs of all draws feed the
+    2.5/50/97.5 percentiles (linear interpolation between order
+    statistics); ``n_failed`` counts the draws whose fit failed, not the
+    distinct counts. All fits start from the log-sample moments of
     ``values``. Identical inputs give bit-identical results.
     """
     arr = np.asarray(values, dtype=float).ravel()
@@ -276,7 +263,7 @@ def ensemble_fit(
     bin_counts, draw_of = np.unique(bin_draws, return_inverse=True)
     per_count = np.full((bin_counts.size, 2), np.nan)
     hists = (build_histogram(arr, lo, hi, n_bins) for n_bins in bin_counts.tolist())
-    for k, fit in enumerate(_fit_histograms(hists, init, _CHUNK_BINS)):
+    for k, fit in enumerate(_fit_histograms(hists, init)):
         if isinstance(fit, LognormalFit) and fit.converged:
             per_count[k] = fit.params.mu, fit.params.sigma
     per_draw = per_count[draw_of]

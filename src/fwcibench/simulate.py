@@ -107,9 +107,27 @@ def sample_lognormal(params: LognormalParams, n: int, stream: np.random.Generato
     return np.exp(params.mu + params.sigma * z)
 
 
-def _checked(n_values, reps: int, seed: int) -> list[int]:
-    """The distinct paper counts in n_values, ascending, once they, reps and seed are checked."""
-    wanted = sorted({int(n) for n in n_values})
+def _stream(seed: int, block: int) -> np.random.Generator:
+    """The generator stream of one block of reps."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed), int(block)]))
+
+
+def median_curve(n_values, baselines, reps: int, seed: int) -> list[MedianCurvePoint]:
+    """Median over reps simulated awards of the mean of n baseline draws, one point per (baseline, n).
+
+    Points come grouped by baseline, each in the order of n_values. Paper j
+    is drawn for each block of at most 2**15 reps at once, from the block's
+    (seed, block) stream, and added to each baseline's running sum, so the
+    n-paper award means are the first n papers of each rep and a point
+    never moves when other paper counts or baselines are asked for. At each
+    distinct n, ascending, every block advances to n as one task on a
+    default-sized thread pool, then the calling thread takes the medians; no
+    point depends on the number of threads. Memory is one reps-long running
+    sum per baseline plus the normals and one scratch array, each reps long;
+    time grows with reps * max(n_values).
+    """
+    n_list = [int(n) for n in n_values]
+    wanted = sorted(set(n_list))
     if not wanted:
         raise ValueError("n_values must be non-empty")
     if wanted[0] < 1:
@@ -118,17 +136,11 @@ def _checked(n_values, reps: int, seed: int) -> list[int]:
         raise ValueError(f"need reps >= 1, got {reps}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    return wanted
+    base_list = list(baselines)
+    if not base_list:
+        raise ValueError("baselines must be non-empty")
 
-
-def _stream(seed: int, block: int) -> np.random.Generator:
-    """The generator stream of one block of reps."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(block)]))
-
-
-def _run(wanted: list[int], sigmas: list[float], reps: int, seed: int) -> list[dict[int, float]]:
-    """Each baseline's medians at each n in wanted, in the order of sigmas (see the module docstring)."""
-    params = [BaselineField(s).params for s in sigmas]
+    params = [base.params for base in base_list]
     n_blocks = -(-reps // _BLOCK)
     bounds = [b * reps // n_blocks for b in range(n_blocks + 1)]
     # Seeded here, before any worker starts: the first default_rng imports
@@ -156,49 +168,16 @@ def _run(wanted: list[int], sigmas: list[float], reps: int, seed: int) -> list[d
     with ThreadPoolExecutor() as pool:
         for done, n in zip([0, *wanted], wanted):
             list(pool.map(advance, range(n_blocks), [done] * n_blocks, [n] * n_blocks))
-            for sigma_sq, total, values in zip(sigmas, totals, out):
+            for base, total, values in zip(base_list, totals, out):
                 # np.median's value from one partition: at even reps np.median partitions at two ranks, ~8x the time
                 np.copyto(scratch, total)
                 scratch.partition(half)
                 values[n] = float(scratch[half] if reps % 2 else (scratch[:half].max() + scratch[half]) / 2) / n
                 if not values[n] > 0:
-                    raise NumericalError(f"simulated median of means underflows to {values[n]!r} at sigma2 = {sigma_sq!r}, n = {n}")
-    return out
-
-
-def medians(n_values, sigma_sq: float, reps: int, seed: int) -> dict[int, float]:
-    """Median over reps simulated awards of the mean of n baseline draws, for each n.
-
-    Paper j is drawn for each block of at most 2**15 reps at once, from the
-    block's (seed, block) stream, and added to a running sum, so the n-paper
-    award means are the first n papers of each rep. Every baseline and paper
-    count reads these same normals, so a result is the value median_curve
-    gives and never moves when others are asked for. Memory is the running
-    sum, the normals and a scratch array, each reps long; time grows with
-    reps * max(n_values).
-    """
-    return _run(_checked(n_values, reps, seed), [sigma_sq], reps, seed)[0]
-
-
-def median_curve(n_values, baselines, reps: int, seed: int) -> list[MedianCurvePoint]:
-    """One MedianCurvePoint per (baseline, n) combination, grouped by baseline.
-
-    All baselines share each block's standard normals, which are drawn once,
-    so each point equals what medians gives. At each requested n, every block
-    advances to n as one task on a default-sized thread pool, then the
-    calling thread takes the medians; no point depends on the number of
-    threads. Memory is one reps-long running sum per baseline plus the
-    normals and one scratch array, each reps long.
-    """
-    n_list = [int(n) for n in n_values]
-    wanted = _checked(n_list, reps, seed)
-    base_list = list(baselines)
-    if not base_list:
-        raise ValueError("baselines must be non-empty")
-    runs = _run(wanted, [b.sigma_sq for b in base_list], reps, seed)
+                    raise NumericalError(f"simulated median of means underflows to {values[n]!r} at sigma2 = {base.sigma_sq!r}, n = {n}")
     return [
-        MedianCurvePoint(n=n, sigma_sq=b.sigma_sq, median_mean=values[n])
-        for b, values in zip(base_list, runs)
+        MedianCurvePoint(n=n, sigma_sq=base.sigma_sq, median_mean=values[n])
+        for base, values in zip(base_list, out)
         for n in n_list
     ]
 

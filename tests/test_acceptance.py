@@ -36,12 +36,17 @@ from fwcibench.simulate import (
     BaselineField,
     aggregate_benchmarks,
     benchmark_award,
-    medians,
+    median_curve,
     sample_lognormal,
 )
 
 SEED = 1
 REPS = 100_000
+
+
+def medians(n_values, sigma_sq, reps, seed):
+    """The n -> simulated median map of one baseline, read off median_curve."""
+    return {p.n: p.median_mean for p in median_curve(n_values, [BaselineField(sigma_sq)], reps, seed)}
 
 
 def test_c01_single_paper_median_sigma13_under_one_second():

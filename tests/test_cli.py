@@ -2,6 +2,7 @@ import contextlib
 import csv
 import gc
 import io
+import json
 import math
 import os
 import shutil
@@ -163,6 +164,47 @@ def test_ingest_rejects_a_deeply_nested_jsonl_line(tmp_path, capsys):
     assert "1 awards, 1 publications" in capsys.readouterr().out
     rejections = (out / "rejections.txt").read_text(encoding="utf-8").splitlines()
     assert rejections == [f"row 1: not valid JSON: nested too deeply | {deep}"]
+
+
+def read_outputs(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_a_byte_order_mark_is_read_past_in_records_and_budgets(corpus_path, budget_path, tmp_path, capsys):
+    # Excel's "CSV UTF-8" export starts the file with one; runs on the same paths, so the reports match
+    pubs, budgets, out = tmp_path / "pubs.csv", tmp_path / "budgets.csv", tmp_path / "out"
+    args = ["ingest", "--input", str(pubs), "--budgets", str(budgets), "--out", str(out)]
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        pubs.write_bytes(bom + corpus_path.read_bytes())
+        budgets.write_bytes(bom + budget_path.read_bytes())
+        shutil.rmtree(out, ignore_errors=True)
+        assert cli.main(args) == 0
+        outputs.append((read_outputs(out), capsys.readouterr().out))
+    assert outputs[1] == outputs[0]
+    assert b"budget row" not in outputs[0][0]["rejections.txt"]
+
+
+def test_a_byte_order_mark_before_the_first_jsonl_line_is_read_past(tmp_path, capsys):
+    good = '{"award_code": "12/IA/1570", "year": 2014, "pub_type": "article", "fwci": 1.5}'
+    path = tmp_path / "bom.jsonl"
+    path.write_text("\ufeff" + good + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["ingest", "--input", str(path), "--out", str(out)]) == 0
+    assert "1 awards, 1 publications" in capsys.readouterr().out
+    assert (out / "rejections.txt").read_text(encoding="utf-8") == "no rejections\n"
+
+
+def test_a_rejected_crlf_jsonl_line_is_written_without_its_line_end(tmp_path, capsys):
+    good = b'{"award_code": "12/IA/1570", "year": 2014, "pub_type": "article", "fwci": 1.5}'
+    path = tmp_path / "crlf.jsonl"
+    path.write_bytes(b"[1, 2\r\n" + good + b"\r\n")
+    out = tmp_path / "out"
+    assert cli.main(["ingest", "--input", str(path), "--out", str(out)]) == 0
+    assert "1 awards, 1 publications" in capsys.readouterr().out
+    rejections = (out / "rejections.txt").read_bytes()
+    assert b"\r" not in rejections
+    assert rejections.decode("utf-8").splitlines() == ["row 1: not valid JSON: Expecting ',' delimiter | [1, 2"]
 
 
 def test_budgets_summing_past_the_largest_float_are_a_data_error(corpus_path, tmp_path, capsys):
@@ -827,3 +869,34 @@ def test_package_loads_its_submodules_on_first_use():
         "print(fwcibench.lognormal.NumericalError is fwcibench.corpus.NumericalError)\n"
     )
     assert lines == ["False", "True", "True"]
+
+
+TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "traced.py")
+
+
+@pytest.mark.parametrize(
+    "argv,layers",
+    [
+        (
+            ["fit", "--fits", "50"],
+            {"corpus.read_records", "histogram.build_histogram", "lognormal.ensemble_fit"}
+            | {"leastsq.damped_least_squares"},
+        ),
+        (["benchmark", "--reps", "500"], {"corpus.read_records", "simulate.median_curve", "simulate.benchmark_award"}),
+    ],
+    ids=["fit", "benchmark"],
+)
+def test_traced_launch_finds_its_layers_and_writes_the_same_files(corpus_path, tmp_path, argv, layers):
+    # perfbench/traced.py rebinds layer functions by name, so renaming one fails every traced launch
+    out, spans = tmp_path / "out", tmp_path / "spans.json"
+    cli_args = [*argv, "--input", str(corpus_path), "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fwcibench.__file__)))
+    outputs = []
+    for cmd in (["-m", "fwcibench.cli", *cli_args], [TRACER, str(spans), "run", "--", *cli_args]):
+        shutil.rmtree(out, ignore_errors=True)
+        done = subprocess.run([sys.executable, *cmd], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append((read_outputs(out), done.stdout))
+    assert outputs[1] == outputs[0]
+    with open(spans, encoding="utf-8") as fh:
+        assert layers <= {span[0] for span in json.load(fh)["spans"]}

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from scipy.optimize import curve_fit
 
+from fwcibench import leastsq
 from fwcibench.leastsq import _solve, damped_least_squares, damped_least_squares_batch
+
+
+def finite(ps):
+    return np.isfinite(ps).all(axis=-1)
 
 
 def test_linear_model_matches_normal_equations():
@@ -10,16 +15,21 @@ def test_linear_model_matches_normal_equations():
     x = np.linspace(0, 10, 40)
     y = 3.0 + 0.7 * x + 0.05 * rng.standard_normal(x.size)
 
-    def residual(p):
-        return y - (p[0] + p[1] * x)
+    def model(q, cols):
+        x, y = cols
+        return y - (q[0] + q[1] * x), np.ones_like(x), x
 
-    def jacobian(p):
-        return np.column_stack((np.ones_like(x), x))
-
-    result = damped_least_squares(residual, jacobian, [0.0, 0.0])
+    result = damped_least_squares(model, [0.0, 0.0], np.stack((x, y)), valid=finite)
     ref, *_ = np.linalg.lstsq(np.column_stack((np.ones_like(x), x)), y, rcond=None)
     assert result.converged
     assert np.allclose(result.params, ref, atol=1e-8)
+
+
+def decay_model(q, cols):
+    # y ~ a * exp(-k * x), one (x, y) column per residual row
+    x, y = cols
+    e = np.exp(-q[1] * x)
+    return y - q[0] * e, e, -q[0] * x * e
 
 
 def test_exponential_decay_matches_curve_fit():
@@ -27,73 +37,53 @@ def test_exponential_decay_matches_curve_fit():
     x = np.linspace(0, 5, 60)
     y = 2.5 * np.exp(-0.8 * x) + 0.01 * rng.standard_normal(x.size)
 
-    def model(p):
-        return p[0] * np.exp(-p[1] * x)
-
-    def residual(p):
-        return y - model(p)
-
-    def jacobian(p):
-        e = np.exp(-p[1] * x)
-        return np.column_stack((e, -p[0] * x * e))
-
-    result = damped_least_squares(residual, jacobian, [1.0, 1.0])
+    result = damped_least_squares(decay_model, [1.0, 1.0], np.stack((x, y)), valid=finite)
     ref, _ = curve_fit(lambda x, a, k: a * np.exp(-k * x), x, y, p0=[1.0, 1.0])
     assert result.converged
     assert np.allclose(result.params, ref, atol=1e-6)
 
 
+def slope_model(q, cols):
+    # y ~ a * x, one (x, y) column per residual row
+    x, y = cols
+    return y - q[0] * x, x
+
+
 def test_zero_residual_converges_immediately():
     x = np.linspace(1, 4, 10)
-    y = 5.0 * x
-
-    def residual(p):
-        return y - p[0] * x
-
-    def jacobian(p):
-        return x.reshape(-1, 1)
-
-    result = damped_least_squares(residual, jacobian, [5.0])
+    result = damped_least_squares(slope_model, [5.0], np.stack((x, 5.0 * x)), valid=finite)
     assert result.converged
     assert result.cost == pytest.approx(0.0, abs=1e-20)
 
 
 def test_nonfinite_initial_residual_raises():
-    def residual(p):
-        return np.array([np.nan])
+    with pytest.raises(ValueError, match="not finite"):
+        damped_least_squares(slope_model, [1.0], np.array([[1.0], [np.nan]]), valid=finite)
 
-    def jacobian(p):
-        return np.array([[1.0]])
 
-    with pytest.raises(ValueError):
-        damped_least_squares(residual, jacobian, [1.0])
+def test_start_outside_the_domain_raises():
+    with pytest.raises(ValueError, match="outside the model domain"):
+        damped_least_squares(slope_model, [-1.0], np.array([[1.0], [2.0]]), valid=lambda ps: ps[:, 0] > 0)
 
 
 def test_valid_constraint_keeps_iterates_legal():
     # minimize (p - (-2))^2 but forbid negative p: optimizer must stop at a
     # valid iterate instead of stepping into the forbidden region
-    def residual(p):
-        return np.array([-2.0 - p[0]])
-
-    def jacobian(p):
-        return np.array([[1.0]])
-
-    result = damped_least_squares(residual, jacobian, [1.0], valid=lambda p: p[0] > 0)
+    result = damped_least_squares(slope_model, [1.0], np.array([[1.0], [-2.0]]), valid=lambda ps: ps[:, 0] > 0)
     assert result.params[0] > 0
 
 
-def test_iteration_cap_reported():
+def test_iteration_cap_reported(monkeypatch):
     # gradient of |p|^0.5-like flat valley: force slow progress with a tiny cap
+    monkeypatch.setattr(leastsq, "_MAX_ITER", 1)
     x = np.linspace(0, 1, 20)
-    y = np.exp(-3.0 * x)
 
-    def residual(p):
-        return y - np.exp(-p[0] * x)
+    def rate_model(q, cols):
+        x, y = cols
+        e = np.exp(-q[0] * x)
+        return y - e, -x * e
 
-    def jacobian(p):
-        return (-x * np.exp(-p[0] * x)).reshape(-1, 1)
-
-    result = damped_least_squares(residual, jacobian, [50.0], max_iter=1)
+    result = damped_least_squares(rate_model, [50.0], np.stack((x, np.exp(-3.0 * x))), valid=finite)
     assert result.n_iter <= 1
     assert not result.converged
 
@@ -108,7 +98,7 @@ def result_key(result):
     return [v.hex() for v in result.params], result.cost.hex(), result.n_iter, result.converged
 
 
-def test_batch_gives_each_problem_its_result_alone_bit_for_bit():
+def test_batch_gives_each_problem_its_result_alone_bit_for_bit(monkeypatch):
     x = np.linspace(0, 10, 40)
     line = np.stack((np.ones_like(x), x, 3.0 + 0.7 * x + 0.05 * np.random.default_rng(0).standard_normal(x.size)))
     nonfinite = line.copy()
@@ -121,12 +111,14 @@ def test_batch_gives_each_problem_its_result_alone_bit_for_bit():
         ([0.0, 0.0], near_collinear),  # stopped by the cap
         ([1.0, 1.0], np.array([[2.0], [1.0], [4.0]])),  # one row, fitted exactly
     ]
-    kwargs = dict(valid=lambda ps: ps[:, 0] > -1, max_iter=4)
+    monkeypatch.setattr(leastsq, "_MAX_ITER", 4)
+    kwargs = dict(valid=lambda ps: ps[:, 0] > -1)
     batch = damped_least_squares_batch(linear_model, problems, **kwargs)
     assert [(r.n_iter, r.converged) for r in batch] == [(4, True), (0, False), (0, False), (4, False), (4, True)]
     alone = [damped_least_squares_batch(linear_model, [problem], **kwargs)[0] for problem in problems]
     assert [result_key(r) for r in batch] == [result_key(r) for r in alone]
-    one_at_a_time = damped_least_squares_batch(linear_model, problems, max_rows=1, **kwargs)
+    monkeypatch.setattr(leastsq, "_MAX_ROWS", 1)
+    one_at_a_time = damped_least_squares_batch(linear_model, problems, **kwargs)
     assert [result_key(r) for r in one_at_a_time] == [result_key(r) for r in alone]
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
-from fwcibench import lognormal
+from fwcibench import leastsq, lognormal
 from fwcibench.histogram import Histogram, build_histogram, log_transform
 from fwcibench.lognormal import (
     FitEnsemble,
@@ -375,10 +375,10 @@ def test_ensemble_counts_every_failed_draw():
 
 
 def test_ensemble_does_not_depend_on_how_its_fits_are_batched(trunc_sampler, monkeypatch):
-    # bin counts 2 and 3 always fail; at a 1-bin cap every fit runs alone
+    # bin counts 2 and 3 always fail; at a 1-row cap every fit runs alone
     args = (trunc_sampler(2000, P_FIT.mu, P_FIT.sigma, seed=31), 0.0, 8.0, 2, 300, 150)
     batched = ensemble_fit(*args, seed=3)
-    monkeypatch.setattr(lognormal, "_CHUNK_BINS", 1)
+    monkeypatch.setattr(leastsq, "_MAX_ROWS", 1)
     assert ensemble_fit(*args, seed=3) == batched
     assert batched.n_failed > 0
 

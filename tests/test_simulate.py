@@ -19,7 +19,6 @@ from fwcibench.simulate import (
     aggregate_benchmarks,
     benchmark_award,
     median_curve,
-    medians,
     sample_lognormal,
 )
 
@@ -30,6 +29,11 @@ SIGMAS = (1.0, 1.3, 1.8)
 
 def summary(code="12/IA/1234", n=1, mean=1.0):
     return AwardSummary(award_code=code, n_papers=n, mean_fwci=mean)
+
+
+def medians(n_values, sigma_sq, reps, seed):
+    """The n -> simulated median map of one baseline, read off median_curve."""
+    return {p.n: p.median_mean for p in median_curve(n_values, [BaselineField(sigma_sq)], reps, seed)}
 
 
 def thresholds_at(n, sigmas, reps, seed):
