@@ -9,8 +9,10 @@ The first form prints every output file's hash. The second runs every
 command with the package in OTHER_SRC (another checkout's ``src``
 directory) and then with this tree's, into the same run directories, since
 the reports echo their input and output paths. It prints only the files
-whose hashes differ and exits 1 if any do. Either form exits 2 if a command
-fails.
+whose hashes differ, each with the largest relative difference between the
+numbers of its lines that read alike apart from their numbers, and how many
+lines have no such partner, and exits 1 if any differ. Either form exits 2
+if a command fails.
 
 The portfolio is ``perfbench/generate.py``'s at a fixed seed. The run covers
 ``ingest`` with budgets, ``ingest`` with budgets on the same seed's portfolio
@@ -19,7 +21,7 @@ exercise the parser at volume), ``fit`` at the default flags, ``fit`` with
 non-default ``--low-cut``, ``--range`` and ``--bins``, ``fit`` with no low
 cut, ``fit`` on the tail window ``--range 1:8``, which leaves out the mode
 e^mu so that mu lies outside every bin, ``fit`` at ``--bins 2:30``, whose
-counts 2 and 3 always fail, so that one batch of fits mixes failed and
+counts 2 and 3 always fail, so that one block of fits mixes failed and
 converged ones, ``benchmark``, ``benchmark`` with
 five unsorted ``--sigma2`` values, ``curve``, ``curve`` with the same five
 values and an unsorted ``--n-list``, ``curve`` at 70,000 reps, and ``curve``
@@ -36,8 +38,11 @@ two central values and one of an odd number takes the central one, so the
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -49,6 +54,7 @@ import generate  # noqa: E402
 
 SEED = 20240
 SMALL = ("--fits", "300", "--reps", "4000")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def runs(input_dir: str, input_60x_dir: str) -> dict[str, list[str]]:
@@ -76,10 +82,10 @@ def runs(input_dir: str, input_60x_dir: str) -> dict[str, list[str]]:
     }
 
 
-def run_all(src: str, out_dir: str, input_dir: str, input_60x_dir: str) -> dict[str, str] | None:
-    """Run every command with the package in ``src``; each output file's SHA-256 by path, or None if one fails."""
+def run_all(src: str, out_dir: str, input_dir: str, input_60x_dir: str) -> dict[str, bytes] | None:
+    """Run every command with the package in ``src``; each output file's bytes by path, or None if one fails."""
     env = dict(os.environ, PYTHONPATH=src)
-    hashes = {}
+    files = {}
     for name, cli_args in runs(input_dir, input_60x_dir).items():
         run_dir = os.path.join(out_dir, name)
         shutil.rmtree(run_dir, ignore_errors=True)  # a file the command no longer writes must not linger
@@ -94,8 +100,29 @@ def run_all(src: str, out_dir: str, input_dir: str, input_60x_dir: str) -> dict[
         for file_name in sorted(os.listdir(run_dir)):
             path = os.path.join(run_dir, file_name)
             with open(path, "rb") as fh:
-                hashes[path] = hashlib.sha256(fh.read()).hexdigest()
-    return hashes
+                files[path] = fh.read()
+    return files
+
+
+def number_diff(theirs: bytes, ours: bytes) -> str:
+    """The largest relative difference between the numbers of the lines that read alike apart from them."""
+    try:
+        sides = [[(NUMBER.sub("#", line), NUMBER.findall(line)) for line in b.decode("utf-8").splitlines()] for b in (theirs, ours)]
+    except UnicodeDecodeError:
+        return "not UTF-8 text"
+    a, b = sides
+    worst, unmatched = 0.0, 0
+    matcher = difflib.SequenceMatcher(None, [words for words, _ in a], [words for words, _ in b], autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag != "equal":
+            unmatched += max(i2 - i1, j2 - j1)
+            continue
+        for (_, xs), (_, ys) in zip(a[i1:i2], b[j1:j2]):
+            for x, y in zip(map(float, xs), map(float, ys)):
+                if x != y:
+                    rel = abs(x - y) / max(abs(x), abs(y))
+                    worst = max(worst, rel if math.isfinite(rel) else math.inf)
+    return f"max rel diff {worst:.2g}; {unmatched} lines without a partner"
 
 
 def main(argv: list[str]) -> int:
@@ -114,12 +141,15 @@ def main(argv: list[str]) -> int:
     if ours is None:
         return 2
     if args.against is None:
-        for path, digest in ours.items():
-            print(f"{digest}  {path}")
+        for path, data in ours.items():
+            print(f"{hashlib.sha256(data).hexdigest()}  {path}")
         return 0
     differ = sorted(path for path in theirs.keys() | ours.keys() if theirs.get(path) != ours.get(path))
     for path in differ:
-        print(path)
+        if path in theirs and path in ours:
+            print(f"{path}  {number_diff(theirs[path], ours[path])}")
+        else:
+            print(f"{path}  only with {'this tree' if path in ours else args.against}")
     return 1 if differ else 0
 
 

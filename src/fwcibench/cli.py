@@ -373,6 +373,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "ensemble:",
         f"  n_fits = {ensemble.n_fits}",
         f"  n_failed = {ensemble.n_failed}",
+        *(f"  {key} = {value!r}" for key, value in ensemble.diagnostics.items()),
         f"  seed = {ensemble.seed}",
         f"  window = {window_lo!r}:{fit_hi!r}",
         f"  mu_p2_5 = {ensemble.mu_p2_5!r}",

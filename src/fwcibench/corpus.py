@@ -318,21 +318,14 @@ def read_records(path: str) -> tuple[list[PublicationRecord], list[RowRejection]
 
 
 def write_records_csv(records: Iterable[PublicationRecord], stream: TextIO) -> None:
-    """Write records back out in the canonical CSV schema (empty cell = absent)."""
+    """Write records back out in the canonical CSV schema (empty cell = absent).
+
+    A record is its cells in ``CSV_COLUMNS`` order; the csv module writes a
+    float by ``repr`` and None as an empty cell.
+    """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.award_code,
-                r.year,
-                r.pub_type,
-                "" if r.fwci is None else repr(float(r.fwci)),
-                "" if r.citations is None else r.citations,
-                r.title,
-                r.source_id,
-            ]
-        )
+    writer.writerows(records)
 
 
 def dedupe_per_award(records: list[PublicationRecord]) -> tuple[list[PublicationRecord], int]:

@@ -33,9 +33,10 @@ class Histogram:
 def build_histogram(values, lo: float, hi: float, n_bins: int) -> Histogram:
     """Bin ``values`` into ``n_bins`` equal-width bins over [lo, hi).
 
-    A value v with lo <= v < hi lands in bin floor((v - lo) / width); the
-    range is half-open, so a value exactly at ``hi`` is dropped. Out-of-range
-    values (including NaN) are dropped and counted in ``n_dropped``.
+    A value v with lo <= v < hi lands in bin floor((v - lo) / width), or in
+    the last bin where that quotient rounds up to ``n_bins``; the range is
+    half-open, so a value exactly at ``hi`` is dropped. Out-of-range values
+    (including NaN) are dropped and counted in ``n_dropped``.
     """
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got [{lo}, {hi})")
@@ -44,8 +45,8 @@ def build_histogram(values, lo: float, hi: float, n_bins: int) -> Histogram:
     v = np.asarray(values, dtype=float).ravel()
     width = (hi - lo) / n_bins
     with np.errstate(invalid="ignore", over="ignore"):
-        rel = np.floor((v - lo) / width)
-        ok = (v >= lo) & (v < hi) & (rel >= 0) & (rel < n_bins)
+        rel = np.minimum(np.floor((v - lo) / width), n_bins - 1)
+        ok = (v >= lo) & (v < hi) & (rel >= 0)
     counts = np.bincount(rel[ok].astype(np.int64), minlength=n_bins)
     centers = lo + (np.arange(n_bins) + 0.5) * width
     counts.setflags(write=False)

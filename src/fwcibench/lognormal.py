@@ -6,23 +6,21 @@ exp(-(ln x - mu)^2 / (2 sigma^2)) whose amplitude A absorbs the sample size
 and bin width, so raw bin counts can be fitted without normalizing them.
 Because best-fit parameters depend on the binning, confidence intervals come
 from refitting at many randomly drawn bin counts (each distinct count once,
-in the calling process, in one lockstep Levenberg-Marquardt loop) and reading
-percentiles off the draws, whose median is the reported fit.
+in the calling process, in blocks of lockstep Levenberg-Marquardt fits) and
+reading percentiles off the draws, whose median is the reported fit.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from statistics import NormalDist
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import NumericalError
-from .histogram import Histogram, build_histogram
-from .leastsq import damped_least_squares, damped_least_squares_batch
+from .histogram import Histogram
+from .leastsq import LeastSquaresResult, damped_least_squares, damped_least_squares_batch
 
 log = logging.getLogger(__name__)
 
@@ -31,6 +29,20 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # How many spans of its bin centers' ln range a fit's mu may lie outside it: a
 # window without the mode puts mu up to 5 out (at 4:8), a runaway fit some 1e5.
 _MU_SPANS_OUTSIDE = 100.0
+
+# Why an ensemble's bin count failed, in the order of a fit's status codes 1, 2, 3.
+_FAILURES = ("too_few_bins", "not_converged", "mu_outside_bins")
+
+# A fit's residual cells are padded to a multiple of _PAD, so the length its sums run over, and
+# with it every bit of its result, depends on its own bin count alone and not on its block.
+_PAD = 64
+# Cells in one block of fits: enough rows to share NumPy's per-call cost, and few enough that each
+# float64 array of the loop stays at 64 KB, well under the 128 KB at which glibc would map fresh
+# pages for it on every call.
+_MAX_CELLS = 8192
+
+# The standard normal 97.5% quantile: NormalDist().inv_cdf(0.975), 0x1.f5c0331eeff82p+0, to the last bit.
+_Z975 = 1.9599639845400536
 
 
 @dataclass(frozen=True)
@@ -64,6 +76,9 @@ class FitEnsemble:
 
     The 2.5 and 97.5 percentiles bound a 95% confidence interval; the median
     is the central value. Only converged fits contribute (see fit_histogram).
+    ``diagnostics`` maps report keys to values over the distinct bin counts,
+    not the draws: the failures by reason and the LM iterations. Equality
+    ignores it.
     """
 
     mu_p2_5: float
@@ -75,6 +90,7 @@ class FitEnsemble:
     n_fits: int
     n_failed: int
     seed: int
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -116,64 +132,65 @@ def _valid(p: np.ndarray):
     return np.isfinite(p).all(axis=-1) & (p[..., 0] > 0) & (p[..., 2] > 0)
 
 
-def _gaussian_model(q, cols: np.ndarray) -> tuple[np.ndarray, ...]:
+def _gaussian_model(q, cols: np.ndarray) -> np.ndarray:
     """Residual y - gaussian(q, t, div) at the columns (t, y, div), then its derivatives in A, mu and sigma.
 
-    ``q`` holds one (A, mu, sigma) per column.
+    ``q`` holds (A, mu, sigma), each broadcast against the columns; the four arrays come stacked.
     """
     t, y, div = cols
     amp, mu, sigma = q
-    z = (t - mu) / sigma
-    e = np.exp(-0.5 * z * z)
-    shape = e / div
-    amp_shape_z = amp * shape * z
-    return y - amp * e / div, shape, amp_shape_z / sigma, amp_shape_z * z / sigma
+    out = np.empty((4, *t.shape))
+    # in place, two temporaries: z = (t - mu) / sigma, then e = exp(-0.5 z z), then A e / div and A (e / div) z
+    z = np.subtract(t, mu)
+    z /= sigma
+    e = np.multiply(-0.5, z)
+    e *= z
+    np.exp(e, out=e)
+    shape = np.divide(e, div, out=out[1])
+    e *= amp
+    e /= div
+    np.subtract(y, e, out=out[0])
+    amp_shape_z = np.multiply(amp, shape, out=e)
+    amp_shape_z *= z
+    np.divide(amp_shape_z, sigma, out=out[2])
+    amp_shape_z *= z
+    np.divide(amp_shape_z, sigma, out=out[3])
+    return out
 
 
-def _moment_init(t: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    total = float(weights.sum())
-    if total <= 0:
-        return 0.0, 1.0
-    mu0 = float((weights * t).sum() / total)
-    var0 = float((weights * (t - mu0) ** 2).sum() / total)
-    return mu0, max(math.sqrt(var0), 1e-3)
+def _moment_init(t: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the weighted mean and standard deviation (at least 1e-3) of t; (0, 1) where the weights sum to <= 0."""
+    total = weights.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu0 = (weights * t).sum(axis=-1) / total
+        sigma0 = np.maximum(np.sqrt((weights * (t - mu0[..., None]) ** 2).sum(axis=-1) / total), 1e-3)
+    return np.where(total > 0, mu0, 0.0), np.where(total > 0, sigma0, 1.0)
 
 
-def _fit_histograms(hists: Iterable[Histogram], init: LognormalParams | None) -> Iterator[LognormalFit | ValueError]:
-    """Fit each histogram in one lockstep LM loop; yield its LognormalFit, or the ValueError rejecting it."""
-    bins: list = []  # per histogram, the ValueError rejecting it or the ln range and count of its bin centers
+def _fit_block(centers, counts, n, init: LognormalParams | None) -> tuple[LeastSquaresResult, np.ndarray]:
+    """Fit the scaled model to each row of a block of histograms, shape (R, L), in one lockstep LM loop.
 
-    def problems():
-        for hist in hists:
-            mask = hist.centers > 0
-            x = np.asarray(hist.centers[mask], dtype=float)
-            y = np.asarray(hist.counts[mask], dtype=float)
-            if int((y > 0).sum()) < 4:
-                bins.append(ValueError("histogram needs at least 4 non-empty bins with positive centers"))
-                continue
-            t = np.log(x)
-            mu0, sigma0 = _moment_init(t, y) if init is None else (init.mu, init.sigma)
-            peak = int(np.argmax(y))
-            z0 = (t[peak] - mu0) / sigma0
-            amp0 = max(y[peak] / max(math.exp(-0.5 * z0 * z0) / x[peak], 1e-300), 1e-12)
-            bins.append((t[0], t[-1], t.size))
-            yield [amp0, mu0, sigma0], np.stack((t, y, x))
-
-    results = iter(damped_least_squares_batch(_gaussian_model, problems(), valid=_valid))
-    for rejected_or_bins in bins:
-        if isinstance(rejected_or_bins, ValueError):
-            yield rejected_or_bins
-            continue
-        (t_lo, t_hi, n_bins), result = rejected_or_bins, next(results)
-        amp, mu, sigma = result.params
-        slack = _MU_SPANS_OUTSIDE * (t_hi - t_lo)
-        yield LognormalFit(
-            amplitude=float(amp),
-            params=LognormalParams(mu=float(mu), sigma=float(sigma)),
-            n_bins_used=n_bins,
-            residual_norm=float(math.sqrt(result.cost)),
-            converged=bool(result.converged and t_lo - slack <= mu <= t_hi + slack),
-        )
+    Row i holds its first ``n[i]`` bin centers and counts; its pad cells, past them, hold its last
+    center and a count of 0. A pad cell keeps t = ln of that center and gets x = inf, so every array
+    _gaussian_model returns is exactly 0 there (the residual is 0 - A e / inf, and each derivative
+    carries e / inf), and a row's sums are the same whatever rows share its block. Each row starts
+    from ``init`` or, without one, from its own log-moments, with the amplitude that puts the model
+    through its highest bin. Returns the solver's result per row and each row's status: 0 for a good
+    fit, else 1 plus the index of its reason in _FAILURES. A row with fewer than 4 non-empty bins is
+    not fitted: it starts at amplitude NaN, outside the domain.
+    """
+    cols = np.stack((np.log(centers), counts, np.where(np.arange(centers.shape[1]) < n[:, None], centers, np.inf)))
+    t, y, _ = cols
+    enough = np.count_nonzero(y > 0, axis=1) >= 4
+    mu0, sigma0 = _moment_init(t, y) if init is None else (np.full(len(t), init.mu), np.full(len(t), init.sigma))
+    t_pk, y_pk, x_pk = np.take_along_axis(cols, np.argmax(y, axis=1)[None, :, None], axis=2)[..., 0]
+    z0 = (t_pk - mu0) / sigma0
+    amp0 = np.where(enough, np.maximum(y_pk / np.maximum(np.exp(-0.5 * z0 * z0) / x_pk, 1e-300), 1e-12), np.nan)
+    fit = damped_least_squares_batch(_gaussian_model, np.stack((amp0, mu0, sigma0), axis=1), cols, valid=_valid)
+    # mu more than _MU_SPANS_OUTSIDE spans outside the ln range of the row's bin centers is a failure
+    t_lo, t_hi, mu = t[:, 0], t[:, -1], fit.params[:, 1]
+    inside = (t_lo - _MU_SPANS_OUTSIDE * (t_hi - t_lo) <= mu) & (mu <= t_hi + _MU_SPANS_OUTSIDE * (t_hi - t_lo))
+    return fit, np.select([~enough, ~fit.converged, ~inside], [1, 2, 3], 0)
 
 
 def fit_histogram(hist: Histogram, init: LognormalParams | None = None) -> LognormalFit:
@@ -188,13 +205,24 @@ def fit_histogram(hist: Histogram, init: LognormalParams | None = None) -> Logno
     whose mu lies outside the ln range of the bin centers used by more than
     _MU_SPANS_OUTSIDE spans: LM can converge there on a few non-empty bins.
     A start whose residual is not finite comes back unconverged, unmoved.
-    This is the one-histogram case of :func:`ensemble_fit`'s batch, and
-    gives bit for bit what that batch gives the same histogram.
+    This is a one-row block of :func:`ensemble_fit`'s, padded to the same
+    length, and gives bit for bit what that block gives the same histogram.
     """
-    (fit,) = _fit_histograms([hist], init)
-    if isinstance(fit, ValueError):
-        raise fit
-    return fit
+    mask = hist.centers > 0
+    x = np.asarray(hist.centers[mask], dtype=float)
+    y = np.asarray(hist.counts[mask], dtype=float)
+    if np.count_nonzero(y > 0) < 4:
+        raise ValueError("histogram needs at least 4 non-empty bins with positive centers")
+    pad = -x.size % _PAD
+    fit, status = _fit_block(np.pad(x, (0, pad), mode="edge")[None], np.pad(y, (0, pad))[None], np.array([x.size]), init)
+    amp, mu, sigma = fit.params[0]
+    return LognormalFit(
+        amplitude=float(amp),
+        params=LognormalParams(mu=float(mu), sigma=float(sigma)),
+        n_bins_used=x.size,
+        residual_norm=float(math.sqrt(fit.cost[0])),
+        converged=bool(status[0] == 0),
+    )
 
 
 def fit_normal_log(hist: Histogram) -> tuple[float, LognormalParams]:
@@ -233,20 +261,26 @@ def ensemble_fit(
     Draws ``n_fits`` bin counts uniformly from {bins_lo, ..., bins_hi} with a
     generator seeded by ``seed``, histograms ``values`` over [lo, hi) at each
     count, and fits the scaled model. Every value must be positive and lie
-    in that half-open window. A fit depends only on its bin count, so each
-    distinct count is fitted once, in this process, and its result stands
-    for every draw of that count. The counts are fitted in ascending order
-    in one lockstep LM loop (see :func:`damped_least_squares_batch` for how
-    many at a time); a fit gives the same bits whichever fits share the loop
-    with it. The converged (mu, sigma) pairs of all draws feed the
-    2.5/50/97.5 percentiles (linear interpolation between order
-    statistics); ``n_failed`` counts the draws whose fit failed, not the
-    distinct counts. All fits start from the log-sample moments of
-    ``values``. Identical inputs give bit-identical results.
+    in that half-open window, with 0 <= lo. A fit depends only on its bin
+    count, so each distinct count is fitted once, in this process, and its
+    result stands for every draw of that count. The counts are binned
+    straight into blocks, in ascending order: one row per count, padded to
+    a multiple of _PAD cells, rows of one padded length together, at most
+    _MAX_CELLS cells a block. Each block is one lockstep LM loop (see
+    :func:`damped_least_squares_batch`), and a fit gives the same bits
+    whichever fits share its block: those :func:`fit_histogram` gives for
+    ``build_histogram(values, lo, hi, count)``. The converged (mu, sigma)
+    pairs of all draws feed the 2.5/50/97.5 percentiles (linear
+    interpolation between order statistics); ``n_failed`` counts the draws
+    whose fit failed, not the distinct counts. All fits start from the
+    log-sample moments of ``values``. Identical inputs give bit-identical
+    results.
     """
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("values must be non-empty")
+    if not (0 <= lo < hi < math.inf):
+        raise ValueError(f"need a window 0 <= lo < hi < inf, got [{lo}, {hi})")
     if not np.all((arr > 0) & (arr >= lo) & (arr < hi)):
         raise ValueError(f"values must be > 0 and lie inside [{lo}, {hi}); filter before fitting")
     if not (1 <= bins_lo <= bins_hi):
@@ -261,18 +295,25 @@ def ensemble_fit(
     bin_draws = rng.integers(bins_lo, bins_hi, size=n_fits, endpoint=True)
 
     bin_counts, draw_of = np.unique(bin_draws, return_inverse=True)
-    per_count = np.full((bin_counts.size, 2), np.nan)
-    hists = (build_histogram(arr, lo, hi, n_bins) for n_bins in bin_counts.tolist())
-    for k, fit in enumerate(_fit_histograms(hists, init)):
-        if isinstance(fit, LognormalFit) and fit.converged:
-            per_count[k] = fit.params.mu, fit.params.sigma
-    per_draw = per_count[draw_of]
-    per_draw = per_draw[~np.isnan(per_draw[:, 0])]
+    length = bin_counts + -bin_counts % _PAD
+    per_count = np.empty((bin_counts.size, 2))
+    status, n_iter = np.empty((2, bin_counts.size), dtype=int)
+    offsets = arr - lo
+    start = 0
+    while start < bin_counts.size:  # one block: counts of one padded length, at most _MAX_CELLS cells
+        stop = min(start + max(1, _MAX_CELLS // length[start]), np.searchsorted(length, length[start], side="right"))
+        n = bin_counts[start:stop]
+        fit, status[start:stop] = _fit_block(*_binned_block(offsets, lo, hi, n, length[start]), n, init)
+        per_count[start:stop], n_iter[start:stop] = fit.params[:, 1:], fit.n_iter
+        start = stop
+    per_draw = per_count[draw_of][status[draw_of] == 0]
     if not len(per_draw):
         raise NumericalError(f"all {n_fits} ensemble fits failed")
 
     mu_lo, mu_mid, mu_hi = np.percentile(per_draw[:, 0], [2.5, 50.0, 97.5])
     sg_lo, sg_mid, sg_hi = np.percentile(per_draw[:, 1], [2.5, 50.0, 97.5])
+    fitted = n_iter[status != 1]  # not empty: some count fitted well
+    failed = {f"failed_bin_counts.{why}": int(k) for why, k in zip(_FAILURES, np.bincount(status, minlength=4)[1:])}
     return FitEnsemble(
         mu_p2_5=float(mu_lo),
         mu_p50=float(mu_mid),
@@ -283,7 +324,31 @@ def ensemble_fit(
         n_fits=int(n_fits),
         n_failed=int(n_fits - len(per_draw)),
         seed=int(seed),
+        diagnostics={
+            **failed,
+            "lm_iterations_per_bin_count.mean": float(fitted.mean()),
+            "lm_iterations_per_bin_count.max": int(fitted.max()),
+        },
     )
+
+
+def _binned_block(offsets, lo: float, hi: float, n: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The padded centers and counts (see :func:`_fit_block`) of the histograms over [lo, hi) at each count in n.
+
+    ``offsets`` holds v - lo for values v in [lo, hi), lo >= 0. The centers and counts equal, bit for
+    bit, those of :func:`build_histogram` at each count.
+    """
+    width = (hi - lo) / n
+    centers = lo + (np.minimum(np.arange(length), n[:, None] - 1) + 0.5) * width[:, None]
+    counts = np.empty(centers.shape)
+    step = max(1, _MAX_CELLS // offsets.size)  # counts per pass: its temporaries stay at 64 KB, as the loop's do
+    for r in range(0, n.size, step):
+        # truncation is floor((v - lo) / width) here, as v - lo >= 0; a v whose quotient rounds up to n goes in the last bin
+        cell = (offsets / width[r : r + step, None]).astype(np.intp)
+        np.minimum(cell, n[r : r + step, None] - 1, out=cell)
+        cell += np.arange(len(cell))[:, None] * length
+        counts[r : r + step] = np.bincount(cell.ravel(), minlength=len(cell) * length).reshape(-1, length)
+    return centers, counts
 
 
 def derived_stats(params: LognormalParams) -> DerivedStats:
@@ -296,13 +361,12 @@ def derived_stats(params: LognormalParams) -> DerivedStats:
     raises NumericalError.
     """
     mu, sigma = params.mu, params.sigma
-    z = NormalDist().inv_cdf(0.975)
     exponents = {
         "mean": mu + 0.5 * sigma**2,
         "median": mu,
         "mode": mu - sigma**2,
-        "interval95_lo": mu - z * sigma,
-        "interval95_hi": mu + z * sigma,
+        "interval95_lo": mu - _Z975 * sigma,
+        "interval95_hi": mu + _Z975 * sigma,
     }
     stats = {}
     for name, exponent in exponents.items():

@@ -455,6 +455,26 @@ def test_fit_writes_report_and_series(corpus_path, tmp_path, capsys):
     assert sum(int(r["count"]) for r in rows) > 500
 
 
+def test_fit_report_counts_failed_bin_counts_by_reason_and_lm_iterations(corpus_path, tmp_path):
+    # bin counts 2 and 3 always have too few bins, however often they are drawn
+    out = tmp_path / "out"
+    assert cli.main([*fit_args(corpus_path, out), "--bins", "2:30", "--fits", "200"]) == 0
+    report = (out / "fit_report.txt").read_text(encoding="utf-8")
+    draws = np.random.default_rng(3).integers(2, 30, size=200, endpoint=True)
+    too_few = np.unique(draws[draws < 4]).size
+    assert too_few == 2 and np.count_nonzero(draws < 4) > too_few
+    assert (
+        f"  n_failed = {np.count_nonzero(draws < 4)}\n"
+        f"  failed_bin_counts.too_few_bins = {too_few}\n"
+        "  failed_bin_counts.not_converged = 0\n"
+        "  failed_bin_counts.mu_outside_bins = 0\n"
+        "  lm_iterations_per_bin_count.mean = "
+    ) in report
+    mean = read_report_value(report, "lm_iterations_per_bin_count.mean")
+    iters_max = read_report_value(report, "lm_iterations_per_bin_count.max")
+    assert 1 <= mean <= iters_max <= 200
+
+
 def read_report_value(report, key):
     return float(next(line.split(" = ")[1] for line in report.splitlines() if line.startswith(f"  {key} = ")))
 

@@ -256,6 +256,22 @@ def test_csv_round_trip():
     assert back == records
 
 
+def test_csv_writes_floats_by_repr_and_absent_cells_empty():
+    records = [
+        rec(fwci=1.0, citations=7, title="a, b"),
+        rec(fwci=1e-05, citations=None, source_id=""),
+        rec(fwci=None, citations=None, source_id=""),
+    ]
+    buf = io.StringIO()
+    corpus.write_records_csv(records, buf)
+    assert buf.getvalue() == (
+        "award_code,year,pub_type,fwci,citations,title,source_id\n"
+        '12/IA/1234,2015,article,1.0,7,"a, b",s1\n'
+        "12/IA/1234,2015,article,1e-05,,,\n"
+        "12/IA/1234,2015,article,,,,\n"
+    )
+
+
 # --- parse_records against a per-row reference parser ---
 #
 # parse_records remembers each distinct award code, year and publication type

@@ -19,6 +19,15 @@ def test_value_at_hi_is_dropped():
     assert h.counts.sum() == 0 and h.n_dropped == 1
 
 
+@pytest.mark.parametrize("n_bins", [3, 21, 24])
+def test_value_just_below_hi_lands_in_the_last_bin(n_bins):
+    # over [0.1, 8) at these counts, (v - lo) / width rounds up to n_bins for v = 8 - ulp
+    v = np.nextafter(8.0, 0.0)
+    assert math.floor((v - 0.1) / ((8.0 - 0.1) / n_bins)) == n_bins
+    h = build_histogram([v, 9.0, np.nan], 0.1, 8.0, n_bins)
+    assert h.counts[-1] == 1 and h.counts.sum() == 1 and h.n_dropped == 2
+
+
 def test_value_at_lo_is_kept():
     h = build_histogram([0.0], 0.0, 0.3, 3)
     assert h.counts.tolist() == [1, 0, 0]

@@ -94,8 +94,8 @@ def linear_model(q, cols):
     return y - (q[0] * u + q[1] * v), u, v
 
 
-def result_key(result):
-    return [v.hex() for v in result.params], result.cost.hex(), result.n_iter, result.converged
+def result_key(result, i):
+    return [v.hex() for v in result.params[i].tolist()], result.cost[i].hex(), int(result.n_iter[i]), bool(result.converged[i])
 
 
 def test_batch_gives_each_problem_its_result_alone_bit_for_bit(monkeypatch):
@@ -111,15 +111,23 @@ def test_batch_gives_each_problem_its_result_alone_bit_for_bit(monkeypatch):
         ([0.0, 0.0], near_collinear),  # stopped by the cap
         ([1.0, 1.0], np.array([[2.0], [1.0], [4.0]])),  # one row, fitted exactly
     ]
+    # the one-row problem is padded to the others' 40 cells with zero cells, where linear_model is exactly 0
+    p0 = np.array([start for start, _ in problems])
+    cols = np.stack([np.pad(c, ((0, 0), (0, 40 - c.shape[1]))) for _, c in problems], axis=1)
     monkeypatch.setattr(leastsq, "_MAX_ITER", 4)
     kwargs = dict(valid=lambda ps: ps[:, 0] > -1)
-    batch = damped_least_squares_batch(linear_model, problems, **kwargs)
-    assert [(r.n_iter, r.converged) for r in batch] == [(4, True), (0, False), (0, False), (4, False), (4, True)]
-    alone = [damped_least_squares_batch(linear_model, [problem], **kwargs)[0] for problem in problems]
-    assert [result_key(r) for r in batch] == [result_key(r) for r in alone]
-    monkeypatch.setattr(leastsq, "_MAX_ROWS", 1)
-    one_at_a_time = damped_least_squares_batch(linear_model, problems, **kwargs)
-    assert [result_key(r) for r in one_at_a_time] == [result_key(r) for r in alone]
+    block = damped_least_squares_batch(linear_model, p0, cols, **kwargs)
+    assert list(zip(block.n_iter.tolist(), block.converged.tolist())) == [
+        (4, True),
+        (0, False),
+        (0, False),
+        (4, False),
+        (4, True),
+    ]
+    alone = [damped_least_squares_batch(linear_model, p0[i : i + 1], cols[:, i : i + 1], **kwargs) for i in range(5)]
+    assert [result_key(block, i) for i in range(5)] == [result_key(r, 0) for r in alone]
+    reversed_block = damped_least_squares_batch(linear_model, p0[::-1], cols[:, ::-1], **kwargs)
+    assert [result_key(reversed_block, 4 - i) for i in range(5)] == [result_key(r, 0) for r in alone]
 
 
 def test_a_singular_damped_system_rejects_only_its_own_step():
@@ -180,6 +188,14 @@ def scaled_lognormal(q, cols):
     return y - amp * shape, shape, amp * shape * z / sigma, amp * shape * z * z / sigma
 
 
+def padded(cols, length):
+    """(t, y, x) columns padded to ``length`` cells that keep the last t and get y = 0 and x = inf,
+    where every array scaled_lognormal returns is 0."""
+    t, y, x = cols
+    pad = length - t.size
+    return np.stack((np.pad(t, (0, pad), mode="edge"), np.pad(y, (0, pad)), np.pad(x, (0, pad), constant_values=np.inf)))
+
+
 def test_batch_agrees_with_the_one_problem_loop_it_replaced():
     # The two loops sum J'J and J'r in different orders, so each stops within its
     # 1e-10 relative step of the same minimum; 1e-8 of the parameter norm allows
@@ -191,14 +207,15 @@ def test_batch_agrees_with_the_one_problem_loop_it_replaced():
         x = (edges[:-1] + edges[1:]) / 2
         peak = int(np.argmax(counts))
         problems.append(([counts[peak] * x[peak], -0.1, 0.9], np.stack((np.log(x), counts.astype(float), x))))
+    block = np.stack([padded(cols, 800) for _, cols in problems], axis=1)
 
     def valid(ps):
         return np.isfinite(ps).all(axis=-1) & (ps[..., 0] > 0) & (ps[..., 2] > 0)
 
-    batch = damped_least_squares_batch(scaled_lognormal, problems, valid=valid)
-    for (p0, cols), got in zip(problems, batch):
+    batch = damped_least_squares_batch(scaled_lognormal, np.array([p0 for p0, _ in problems]), block, valid=valid)
+    for i, (p0, cols) in enumerate(problems):
         params, converged = reference_lm(
             lambda p: scaled_lognormal(p, cols)[0], lambda p: np.stack(scaled_lognormal(p, cols)[1:], axis=1), p0, valid
         )
-        assert got.converged == converged
-        assert np.linalg.norm(got.params - params) <= 1e-8 * np.linalg.norm(params)
+        assert batch.converged[i] == converged
+        assert np.linalg.norm(batch.params[i] - params) <= 1e-8 * np.linalg.norm(params)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
-from fwcibench import leastsq, lognormal
+from fwcibench import lognormal
 from fwcibench.histogram import Histogram, build_histogram, log_transform
 from fwcibench.lognormal import (
     FitEnsemble,
@@ -196,9 +196,8 @@ def test_lm_iterates_are_pinned_bit_for_bit(trunc_sampler, monkeypatch):
 
     def recording(real):
         def run(*args, **kwargs):
-            result = real(*args, **kwargs)
-            solves.append(result[0] if isinstance(result, list) else result)
-            return result
+            solves.append(real(*args, **kwargs))
+            return solves[-1]
 
         return run
 
@@ -208,12 +207,12 @@ def test_lm_iterates_are_pinned_bit_for_bit(trunc_sampler, monkeypatch):
 
     fit = fit_histogram(build_histogram(draws, 0.0, 8.0, 60))
     got = [v.hex() for v in (fit.amplitude, fit.params.mu, fit.params.sigma, fit.residual_norm)]
-    assert got == ["0x1.669884f9001aap+7", "-0x1.bfd36dbd8a37fp-4", "0x1.c7d749bb13313p-1", "0x1.977ae460f3fddp+5"]
-    assert (solves[-1].n_iter, fit.converged) == (9, True)
+    assert got == ["0x1.669884f9001aap+7", "-0x1.bfd36dbd8a380p-4", "0x1.c7d749bb13313p-1", "0x1.977ae460f3fdfp+5"]
+    assert (solves[-1].n_iter.tolist(), fit.converged) == ([9], True)
 
     amp, p = fit_normal_log(build_histogram(np.log(draws), math.log(0.005), math.log(8.0), 40))
     got = [v.hex() for v in (amp, p.mu, p.sigma, math.sqrt(solves[-1].cost))]
-    assert got == ["0x1.f0cff62ef803dp+7", "-0x1.cc1c4523524e7p-4", "0x1.c6673db4fd9efp-1", "0x1.a5aec094d4996p+5"]
+    assert got == ["0x1.f0cff62ef8046p+7", "-0x1.cc1c452352517p-4", "0x1.c6673db4fd9dfp-1", "0x1.a5aec094d4996p+5"]
     assert (solves[-1].n_iter, solves[-1].converged) == (7, True)
 
 
@@ -230,30 +229,31 @@ def fit_alone(hist):
         return str(exc)
 
 
-def test_one_batch_gives_each_histogram_its_fit_alone_bit_for_bit(trunc_sampler, monkeypatch):
-    # one lockstep batch mixing a histogram with too few bins, a fit stopped by
-    # the 200-iteration cap, a runaway whose mu leaves its bins and two that converge
+def test_one_batch_gives_each_histogram_its_fit_alone_bit_for_bit(trunc_sampler):
+    # one block mixing a histogram with too few bins, a fit stopped by the
+    # 200-iteration cap, a runaway whose mu leaves its bins and two that converge;
+    # each has 65 to 128 bins, so it fills the 128 cells it is padded to alone
     capped = np.exp(np.random.default_rng(6).normal(0.0, 2.0, 30))
     draws = trunc_sampler(3000, P_FIT.mu, P_FIT.sigma, seed=5)
     hists = [
-        build_histogram(draws, 0.0, 8.0, 40),
-        build_histogram([0.5, 2.5, 4.5], 0.0, 8.0, 8),
+        build_histogram(draws, 0.0, 8.0, 70),
+        build_histogram([0.5, 2.5, 4.5], 0.0, 8.0, 100),
         build_histogram(capped[capped < 8.0], 0.0, 8.0, 80),
         build_histogram(np.linspace(4e305, 8e306, 20), 0.0, 1.7e308, 87),
-        build_histogram(draws, 0.0, 8.0, 300),
+        build_histogram(draws, 0.0, 8.0, 128),
     ]
-    batches = []
-
-    def recording(*args, **kwargs):
-        batches.append(real(*args, **kwargs))
-        return batches[-1]
-
-    real = lognormal.damped_least_squares_batch
-    monkeypatch.setattr(lognormal, "damped_least_squares_batch", recording)
-    batch = list(lognormal._fit_histograms(hists, None))
-    assert [(r.n_iter, r.converged) for r in batches[0]] == [(8, True), (200, False), (1, True), (7, True)]
-    assert isinstance(batch[1], ValueError) and batch[3].params.mu > 1e5 and not batch[3].converged
-    assert [fit_key(fit) for fit in batch] == [fit_alone(hist) for hist in hists]
+    centers = np.stack([np.pad(h.centers, (0, 128 - h.n_bins), mode="edge") for h in hists])
+    counts = np.stack([np.pad(h.counts, (0, 128 - h.n_bins)) for h in hists])
+    fit, status = lognormal._fit_block(centers, counts, np.array([h.n_bins for h in hists]), None)
+    assert list(zip(fit.n_iter.tolist(), status.tolist())) == [(8, 0), (0, 1), (200, 2), (1, 3), (7, 0)]
+    assert fit.params[3, 1] > 1e5
+    block = [
+        "histogram needs at least 4 non-empty bins with positive centers"
+        if code == 1
+        else ([v.hex() for v in (*params, math.sqrt(cost))], code == 0)
+        for params, cost, code in zip(fit.params.tolist(), fit.cost.tolist(), status.tolist())
+    ]
+    assert block == [fit_alone(hist) for hist in hists]
 
 
 def test_normal_log_needs_enough_bins():
@@ -355,6 +355,18 @@ def test_ensemble_fits_a_window_that_leaves_out_the_mode():
     assert abs(ens.mu_p50 - P_FIT.mu) <= 0.05 and abs(ens.sigma_p50 - P_FIT.sigma) <= 0.05
 
 
+def test_ensemble_bins_a_value_just_below_hi_in_the_last_bin(trunc_sampler):
+    # at 21 bins over [0.1, 8), (v - lo) / width rounds up to 21 for v = 8 - ulp
+    values = np.append(trunc_sampler(2000, P_FIT.mu, P_FIT.sigma, seed=8, lo=0.1), np.nextafter(8.0, 0.0))
+    logs = np.log(values)
+    init = LognormalParams(mu=float(logs.mean()), sigma=max(float(logs.std()), 1e-3))
+    rest = build_histogram(values[:-1], 0.1, 8.0, 21)
+    counts = rest.counts + np.eye(21, dtype=int)[-1]
+    fit = fit_histogram(Histogram(lo=0.1, hi=8.0, n_bins=21, counts=counts, centers=rest.centers), init=init)
+    ens = ensemble_fit(values, 0.1, 8.0, 21, 21, 1, seed=0)
+    assert (ens.mu_p50, ens.sigma_p50) == (fit.params.mu, fit.params.sigma)
+
+
 def test_ensemble_equals_per_draw_fits_with_repeated_counts(trunc_sampler):
     draws = trunc_sampler(3000, P_FIT.mu, P_FIT.sigma, seed=12)
     args = (draws, 0.0, 8.0, 20, 800, 200)
@@ -375,10 +387,10 @@ def test_ensemble_counts_every_failed_draw():
 
 
 def test_ensemble_does_not_depend_on_how_its_fits_are_batched(trunc_sampler, monkeypatch):
-    # bin counts 2 and 3 always fail; at a 1-row cap every fit runs alone
+    # bin counts 2 and 3 always fail; at a 1-cell cap every block holds one fit
     args = (trunc_sampler(2000, P_FIT.mu, P_FIT.sigma, seed=31), 0.0, 8.0, 2, 300, 150)
     batched = ensemble_fit(*args, seed=3)
-    monkeypatch.setattr(leastsq, "_MAX_ROWS", 1)
+    monkeypatch.setattr(lognormal, "_MAX_CELLS", 1)
     assert ensemble_fit(*args, seed=3) == batched
     assert batched.n_failed > 0
 
@@ -435,6 +447,11 @@ def test_derived_example_values():
     stats_ = derived_stats(P_FIT)
     assert stats_.mean == pytest.approx(1.433, abs=2e-3)
     assert stats_.median == pytest.approx(0.9267, abs=5e-4)
+
+
+def test_derived_z_is_the_normal_975_quantile_to_the_bit():
+    assert lognormal._Z975 == NormalDist().inv_cdf(0.975)
+    assert lognormal._Z975.hex() == "0x1.f5c0331eeff82p+0"
 
 
 def test_derived_closed_forms():
