@@ -25,8 +25,11 @@ counts 2 and 3 always fail, so that one block of fits mixes failed and
 converged ones, ``benchmark``, ``benchmark`` with
 five unsorted ``--sigma2`` values, ``curve``, ``curve`` with the same five
 values and an unsorted ``--n-list``, ``curve`` at 70,000 reps, and ``curve``
-at 4,001 reps, each in its own subdirectory of OUT_DIR, with small ensembles
-and Monte Carlo sizes so the whole run takes seconds. The Monte Carlo splits
+at 4,001 reps, each in its own subdirectory of OUT_DIR. So that the whole run
+takes seconds, each ``fit`` gets ``--fits 300`` and each ``benchmark`` and
+``curve`` ``--reps 4000`` unless it names its own. The ``curve`` runs pass
+``--input`` too: ``curve`` accepts it unread, and an older tree that
+``--against`` may run requires it. The Monte Carlo splits
 its reps into blocks of at most 2**15, each with its own stream and one task
 per block on a thread pool: the other runs' 4,000 reps are one block, and the
 70,000-rep curve is three. A median of an even number of reps averages the
@@ -53,7 +56,8 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import generate  # noqa: E402
 
 SEED = 20240
-SMALL = ("--fits", "300", "--reps", "4000")
+FITS = ("--fits", "300")
+REPS = ("--reps", "4000")
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -68,17 +72,17 @@ def runs(input_dir: str, input_60x_dir: str) -> dict[str, list[str]]:
             "--budgets",
             os.path.join(input_60x_dir, "budgets.csv"),
         ],
-        "fit": ["fit", *pubs, *SMALL],
-        "fit-window": ["fit", *pubs, *SMALL, "--low-cut", "0.2", "--range", "0.15:6", "--bins", "30:300", "--seed", "7"],
-        "fit-no-cut": ["fit", *pubs, *SMALL, "--low-cut", "0"],
-        "fit-tail": ["fit", *pubs, *SMALL, "--range", "1:8"],
-        "fit-failures": ["fit", *pubs, *SMALL, "--bins", "2:30"],
-        "benchmark": ["benchmark", *pubs, *SMALL],
-        "benchmark-5-sigma2": ["benchmark", *pubs, *SMALL, "--sigma2", "1.8,0.5,1.3,2.2,1.0"],
-        "curve": ["curve", *pubs, *SMALL, "--n-list", "1,5,10,46,100,400"],
-        "curve-5-sigma2": ["curve", *pubs, *SMALL, "--n-list", "400,1,46,5", "--sigma2", "1.8,0.5,1.3,2.2,1.0"],
-        "curve-blocks": ["curve", *pubs, *SMALL, "--reps", "70000", "--n-list", "1,5"],
-        "curve-odd-reps": ["curve", *pubs, *SMALL, "--reps", "4001", "--n-list", "1,5,46"],
+        "fit": ["fit", *pubs, *FITS],
+        "fit-window": ["fit", *pubs, *FITS, "--low-cut", "0.2", "--range", "0.15:6", "--bins", "30:300", "--seed", "7"],
+        "fit-no-cut": ["fit", *pubs, *FITS, "--low-cut", "0"],
+        "fit-tail": ["fit", *pubs, *FITS, "--range", "1:8"],
+        "fit-failures": ["fit", *pubs, *FITS, "--bins", "2:30"],
+        "benchmark": ["benchmark", *pubs, *REPS],
+        "benchmark-5-sigma2": ["benchmark", *pubs, *REPS, "--sigma2", "1.8,0.5,1.3,2.2,1.0"],
+        "curve": ["curve", *pubs, *REPS, "--n-list", "1,5,10,46,100,400"],
+        "curve-5-sigma2": ["curve", *pubs, *REPS, "--n-list", "400,1,46,5", "--sigma2", "1.8,0.5,1.3,2.2,1.0"],
+        "curve-blocks": ["curve", *pubs, "--reps", "70000", "--n-list", "1,5"],
+        "curve-odd-reps": ["curve", *pubs, "--reps", "4001", "--n-list", "1,5,46"],
     }
 
 

@@ -5,14 +5,15 @@ into reproducible runs. Reports are line-oriented text, series files are CSV,
 and nothing embeds a timestamp or machine detail: the same inputs, flags and
 seed produce byte-identical output files on every run.
 
-Exit codes: 0 success; 1 usage error (bad flags, or an OSError such as an
-unreadable path); 2 data error, raised as corpus.DataError (malformed corpus,
-text that is not UTF-8, a CSV the csv module cannot read, nothing to process,
-fewer than 4 distinct values to fit, budgets, an award's FWCI values or all
-eligible FWCI values whose sum overflows); 3 numerical failure, raised as
-corpus.NumericalError, which lognormal re-exports (every ensemble fit failed, a
-fitted statistic overflowed, the fit had no mass in its window, a simulated
-median underflowed). Any other exception is a bug and ends in a traceback.
+Exit codes: 0 success; 1 usage error (bad flags, a flag the command does not
+read, or an OSError such as an unreadable path); 2 data error, raised as
+corpus.DataError (malformed corpus, text that is not UTF-8, a CSV the csv
+module cannot read, nothing to process, fewer than 4 distinct values to fit,
+budgets, an award's FWCI values or all eligible FWCI values whose sum
+overflows); 3 numerical failure, raised as corpus.NumericalError, which
+lognormal re-exports (every ensemble fit failed, a fitted statistic
+overflowed, the fit had no mass in its window, a simulated median
+underflowed). Any other exception is a bug and ends in a traceback.
 
 Both error classes live in corpus, so ``ingest``, ``--help`` and a usage error
 never import NumPy: the numerical modules are imported inside the commands
@@ -29,7 +30,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import corpus
 from .corpus import DataError, NumericalError
@@ -57,21 +57,8 @@ def _shown(path: str) -> str:
 
 
 def _config_lines(args: argparse.Namespace) -> list[str]:
-    """The effective settings of one command run; echoed into every report."""
-    return [
-        "config:",
-        f"  input = {_shown(args.input)}",
-        f"  budgets = {_shown(args.budgets) if args.budgets else '-'}",
-        f"  low_cut = {args.low_cut!r}",
-        f"  range = {args.range[0]!r}:{args.range[1]!r}",
-        f"  bins = {args.bins[0]}:{args.bins[1]}",
-        f"  fits = {args.fits}",
-        # each value once, as benchmark and curve run them
-        f"  sigma2 = {','.join(repr(s) for s in dict.fromkeys(args.sigma2))}",
-        f"  reps = {args.reps}",
-        f"  seed = {args.seed}",
-        f"  out = {_shown(args.out)}",
-    ]
+    """The settings of one command run, each flag it reads in parser order; echoed into every report."""
+    return ["config:", *(f"  {dest} = {echo(getattr(args, dest))}" for dest, echo in args.echo)]
 
 
 def _write_text(path: str, lines: list[str]) -> None:
@@ -168,38 +155,45 @@ def _distinct(values, what: str) -> list:
     return kept
 
 
+def _listed(fmt):
+    """The echo of a comma-separated flag: each value once, as the commands run them."""
+    return lambda values: ",".join(map(fmt, dict.fromkeys(values)))
+
+
+# Every flag once: its argparse settings, then how a report echoes its value.
+_FLAGS = {
+    "--input": (dict(required=True, help="publication record file (CSV or JSONL)"), _shown),
+    "--budgets": (dict(help="optional budget CSV (award_code, budget_eur)"), lambda v: _shown(v) if v else "-"),
+    "--n-list": (dict(type=_n_list, required=True, help="comma-separated award paper counts"), _listed(str)),
+    "--low-cut": (dict(type=_nonneg_float, default=0.1, help="impact cutoff split before fitting"), repr),
+    "--range": (dict(type=_float_range, default=(0.0, 8.0), metavar="LO:HI", help="fitting range"), "%r:%r".__mod__),
+    "--bins": (dict(type=_int_range, default=(20, 800), metavar="LO:HI", help="ensemble bin-count range"), "%d:%d".__mod__),
+    "--fits": (dict(type=_pos_int, default=10_000, help="ensemble size"), str),
+    "--sigma2": (dict(type=_sigma_list, default=(1.0, 1.3, 1.8), help="baseline log-variances"), _listed(repr)),
+    "--reps": (dict(type=_pos_int, default=100_000, help="simulated awards per median"), str),
+    "--seed": (dict(type=_nonneg_int, default=42, help="master seed"), str),
+    "--out": (dict(default=".", help="output directory"), _shown),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fwcibench",
         description="Benchmark grant-funded publication impact against a lognormal baseline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", required=True, help="publication record file (CSV or JSONL)")
-    common.add_argument("--budgets", default=None, help="optional budget CSV (award_code, budget_eur)")
-    common.add_argument("--low-cut", type=_nonneg_float, default=0.1, help="impact cutoff split before fitting")
-    common.add_argument("--range", type=_float_range, default=(0.0, 8.0), metavar="LO:HI", help="fitting range")
-    common.add_argument("--bins", type=_int_range, default=(20, 800), metavar="LO:HI", help="ensemble bin-count range")
-    common.add_argument("--fits", type=_pos_int, default=10_000, help="ensemble size")
-    common.add_argument("--sigma2", type=_sigma_list, default=(1.0, 1.3, 1.8), help="baseline log-variances")
-    common.add_argument("--reps", type=_pos_int, default=100_000, help="simulated awards per median")
-    common.add_argument("--seed", type=_nonneg_int, default=42, help="master seed")
-    common.add_argument("--out", default=".", help="output directory")
-
-    p_ingest = sub.add_parser("ingest", parents=[common], help="parse, clean and summarize the corpus")
-    p_ingest.set_defaults(func=cmd_ingest)
-
-    p_fit = sub.add_parser("fit", parents=[common], help="fit the lognormal model with a random-bin ensemble")
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_bench = sub.add_parser("benchmark", parents=[common], help="compare award means against simulated medians")
-    p_bench.set_defaults(func=cmd_benchmark)
-
-    p_curve = sub.add_parser("curve", parents=[common], help="tabulate the median of award means versus paper count")
-    p_curve.add_argument("--n-list", type=_n_list, required=True, help="comma-separated award paper counts")
-    p_curve.set_defaults(func=cmd_curve)
-
+    # Each command accepts only the flags it reads, and its report echoes them in this order.
+    for name, func, flags in (
+        ("ingest", cmd_ingest, "--input --budgets --low-cut --out"),
+        ("fit", cmd_fit, "--input --low-cut --range --bins --fits --seed --out"),
+        ("benchmark", cmd_benchmark, "--input --sigma2 --reps --seed --out"),
+        ("curve", cmd_curve, "--n-list --sigma2 --reps --seed --out"),
+    ):
+        p = sub.add_parser(name, help=func.__doc__)
+        echo = [(p.add_argument(flag, **_FLAGS[flag][0]).dest, _FLAGS[flag][1]) for flag in flags.split()]
+        p.set_defaults(func=func, echo=echo)
+    # curve opens no corpus; it still accepts --input, unread and unechoed, for callers that pass it
+    sub.choices["curve"].add_argument("--input", help=argparse.SUPPRESS)
     return parser
 
 
@@ -207,27 +201,11 @@ def _build_parser() -> argparse.ArgumentParser:
 # shared pipeline
 
 
-@dataclass(frozen=True)
-class _Corpus:
-    """One run's input: deduplicated records, their eligible subset, budgets and every rejection."""
-
-    records: list[corpus.PublicationRecord]
-    rejections: list[corpus.RowRejection]
-    n_duplicates: int
-    eligible: list[corpus.PublicationRecord]
-    budgets: dict[str, float]
-    budget_rejections: list[corpus.RowRejection]
-
-
-def _load_corpus(args: argparse.Namespace) -> _Corpus:
-    """Parse, dedupe and eligibility-filter the input; load budgets if given."""
+def _load_corpus(args: argparse.Namespace):
+    """The input's deduplicated records, every rejection, the duplicates dropped and the eligible records."""
     records, rejections = corpus.read_records(args.input)
     records, n_dup = corpus.dedupe_per_award(records)
-    budgets: dict[str, float] = {}
-    budget_rejections: list[corpus.RowRejection] = []
-    if args.budgets:
-        budgets, budget_rejections = corpus.read_budgets(args.budgets)
-    return _Corpus(records, rejections, n_dup, corpus.filter_eligible(records), budgets, budget_rejections)
+    return records, rejections, n_dup, corpus.filter_eligible(records)
 
 
 def _out_path(args: argparse.Namespace, name: str) -> str:
@@ -240,19 +218,21 @@ def _out_path(args: argparse.Namespace, name: str) -> str:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    data = _load_corpus(args)
+    """parse, clean and summarize the corpus"""
+    records, rejections, n_duplicates, eligible = _load_corpus(args)
+    budgets, budget_rejections = corpus.read_budgets(args.budgets) if args.budgets else ({}, [])
 
-    summaries = corpus.summarize_awards(data.eligible, data.budgets)
+    summaries = corpus.summarize_awards(eligible, budgets)
     totals = corpus.portfolio_totals(summaries)
     if totals.total_budget is not None and not math.isfinite(totals.total_budget):
         raise DataError(f"{args.budgets}: the budgets sum past the largest float; no cost per paper")
-    low, main = corpus.split_low_fwci(data.eligible, args.low_cut)
+    low, main = corpus.split_low_fwci(eligible, args.low_cut)
 
     with open(_out_path(args, "eligible_records.csv"), "w", encoding="utf-8", newline="") as fh:
-        corpus.write_records_csv(data.eligible, fh)
+        corpus.write_records_csv(eligible, fh)
 
-    rejection_lines = [f"row {r.row}: {r.reason} | {r.raw}" for r in data.rejections]
-    rejection_lines += [f"budget row {r.row}: {r.reason} | {r.raw}" for r in data.budget_rejections]
+    rejection_lines = [f"row {r.row}: {r.reason} | {r.raw}" for r in rejections]
+    rejection_lines += [f"budget row {r.row}: {r.reason} | {r.raw}" for r in budget_rejections]
     _write_text(_out_path(args, "rejections.txt"), rejection_lines or ["no rejections"])
 
     _write_csv(
@@ -274,13 +254,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     )
     report = [
         "counts:",
-        f"  rows_parsed = {len(data.records) + len(data.rejections)}",
-        f"  rows_rejected = {len(data.rejections)}",
-        f"  duplicates_dropped = {data.n_duplicates}",
-        f"  records_eligible = {len(data.eligible)}",
+        f"  rows_parsed = {len(records) + len(rejections)}",
+        f"  rows_rejected = {len(rejections)}",
+        f"  duplicates_dropped = {n_duplicates}",
+        f"  records_eligible = {len(eligible)}",
         f"  below_low_cut = {len(low)}",
         f"  at_or_above_low_cut = {len(main)}",
-        f"  budget_rows_rejected = {len(data.budget_rejections)}",
+        f"  budget_rows_rejected = {len(budget_rejections)}",
         f"  {count_line}",
         f"  {cost_line}",
     ]
@@ -293,12 +273,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    """fit the lognormal model with a random-bin ensemble"""
     import numpy as np
 
     from . import histogram, lognormal
 
     fit_lo, fit_hi = args.range
-    eligible = _load_corpus(args).eligible
+    *_, eligible = _load_corpus(args)
     if not eligible:
         raise DataError("no eligible records to fit")
 
@@ -313,7 +294,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     n_outside = len(main) - fit_values.size
     if fit_values.size < 8:
         raise DataError(f"only {fit_values.size} values inside [{window_lo!r}, {fit_hi!r}); too few to fit")
-    n_distinct = np.unique(fit_values).size
+    n_distinct = int(np.count_nonzero(np.diff(np.sort(fit_values)))) + 1
     if n_distinct < 4:
         raise DataError(
             f"only {n_distinct} distinct values inside [{window_lo!r}, {fit_hi!r}); a fit needs 4 non-empty bins"
@@ -400,28 +381,29 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
+    """compare award means against simulated medians"""
     from . import simulate
 
-    args.sigma2 = _distinct(args.sigma2, "sigma2")
-    data = _load_corpus(args)
-    summaries = corpus.summarize_awards(data.eligible, data.budgets)
+    sigma2 = _distinct(args.sigma2, "sigma2")
+    *_, eligible = _load_corpus(args)
+    summaries = corpus.summarize_awards(eligible)
     # One Monte Carlo run serves every award; an empty portfolio simulates nothing.
     n_values = sorted({s.n_papers for s in summaries})
-    baselines = [simulate.BaselineField(s) for s in args.sigma2]
+    baselines = [simulate.BaselineField(s) for s in sigma2]
     points = simulate.median_curve(n_values, baselines, args.reps, args.seed) if n_values else []
     simulated = {(p.sigma_sq, p.n): p.median_mean for p in points}
     benchmarks = [
-        simulate.benchmark_award(s, {sig: simulated[sig, s.n_papers] for sig in args.sigma2})
+        simulate.benchmark_award(s, {sig: simulated[sig, s.n_papers] for sig in sigma2})
         for s in summaries
     ]
 
     header = ["award_code", "n_papers", "observed_mean"]
-    for s in args.sigma2:
+    for s in sigma2:
         header += [f"threshold_{s!r}", f"verdict_{s!r}"]
     rows = []
     for b in benchmarks:
         row: list[object] = [b.award_code, b.n_papers, _fmt(b.observed_mean)]
-        for s in args.sigma2:
+        for s in sigma2:
             row += [_fmt(b.thresholds[s]), b.verdicts[s]]
         rows.append(row)
     _write_csv(_out_path(args, "benchmark.csv"), header, rows)
@@ -457,11 +439,11 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    """tabulate the median of award means versus paper count"""
     from . import simulate
 
     n_list = _distinct(args.n_list, "paper count")
-    args.sigma2 = _distinct(args.sigma2, "sigma2")
-    baselines = [simulate.BaselineField(s) for s in args.sigma2]
+    baselines = [simulate.BaselineField(s) for s in _distinct(args.sigma2, "sigma2")]
     points = simulate.median_curve(n_list, baselines, args.reps, args.seed)
 
     _write_csv(
@@ -469,8 +451,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         ["sigma_sq", "n", "median_mean", "reps", "seed"],
         [[_fmt(p.sigma_sq), p.n, _fmt(p.median_mean), args.reps, args.seed] for p in points],
     )
-    report = [f"n_list = {','.join(str(n) for n in n_list)}", f"points = {len(points)}"]
-    _write_report(args, "curve_report.txt", "median curve report", report)
+    _write_report(args, "curve_report.txt", "median curve report", [f"points = {len(points)}"])
     print(f"wrote median_curve.csv ({len(points)} points)")
     return EXIT_OK
 

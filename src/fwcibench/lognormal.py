@@ -310,17 +310,18 @@ def ensemble_fit(
     if not len(per_draw):
         raise NumericalError(f"all {n_fits} ensemble fits failed")
 
-    mu_lo, mu_mid, mu_hi = np.percentile(per_draw[:, 0], [2.5, 50.0, 97.5])
-    sg_lo, sg_mid, sg_hi = np.percentile(per_draw[:, 1], [2.5, 50.0, 97.5])
+    ordered = np.sort(per_draw, axis=0)
+    mu_lo, mu_mid, mu_hi = _sorted_percentiles(ordered[:, 0], (2.5, 50.0, 97.5))
+    sg_lo, sg_mid, sg_hi = _sorted_percentiles(ordered[:, 1], (2.5, 50.0, 97.5))
     fitted = n_iter[status != 1]  # not empty: some count fitted well
     failed = {f"failed_bin_counts.{why}": int(k) for why, k in zip(_FAILURES, np.bincount(status, minlength=4)[1:])}
     return FitEnsemble(
-        mu_p2_5=float(mu_lo),
-        mu_p50=float(mu_mid),
-        mu_p97_5=float(mu_hi),
-        sigma_p2_5=float(sg_lo),
-        sigma_p50=float(sg_mid),
-        sigma_p97_5=float(sg_hi),
+        mu_p2_5=mu_lo,
+        mu_p50=mu_mid,
+        mu_p97_5=mu_hi,
+        sigma_p2_5=sg_lo,
+        sigma_p50=sg_mid,
+        sigma_p97_5=sg_hi,
         n_fits=int(n_fits),
         n_failed=int(n_fits - len(per_draw)),
         seed=int(seed),
@@ -330,6 +331,23 @@ def ensemble_fit(
             "lm_iterations_per_bin_count.max": int(fitted.max()),
         },
     )
+
+
+def _sorted_percentiles(ordered: np.ndarray, qs) -> list[float]:
+    """The ``qs`` percentiles of the ascending sample ``ordered`` by NumPy's default ``linear`` rule.
+
+    At virtual index (n - 1) q / 100 it reads a + (b - a) t, or b - (b - a)(1 - t) where t >= 0.5, as NumPy's
+    ``_lerp`` does. That equals ``np.percentile`` bit for bit, except where -0.0 and +0.0 tie, as a sort and a
+    partition may order them differently. ``np.percentile`` calls ``np.unique``, which imports ``numpy.ma``.
+    """
+    last = len(ordered) - 1
+    out = []
+    for q in qs:
+        v = last * (q / 100)
+        i = math.floor(v)  # i = last only at q = 100, where b = a and t = 0
+        a, b, t = float(ordered[i]), float(ordered[min(i + 1, last)]), v - i
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
 
 
 def _binned_block(offsets, lo: float, hi: float, n: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:

@@ -200,14 +200,14 @@ def test_c08_cli_reruns_byte_identical(tmp_path):
                     [f"{11 + i % 4:02d}/IA/{3000 + i}", 2018, "article", repr(float(v)), 1, f"t{uid}", f"W{uid}"]
                 )
 
-    common = ["--input", str(path), "--fits", "150", "--bins", "20:120", "--reps", "3000", "--seed", "5"]
+    common = ["--input", str(path), "--seed", "5"]
     out_fit = tmp_path / "fit"
-    first, second = _rerun_snapshot(["fit", *common, "--out", str(out_fit)], out_fit)
+    first, second = _rerun_snapshot(["fit", *common, "--fits", "150", "--bins", "20:120", "--out", str(out_fit)], out_fit)
     assert first == second, "fit outputs changed between identical runs"
     assert "fit_report.txt" in first
 
     out_bench = tmp_path / "bench"
-    first, second = _rerun_snapshot(["benchmark", *common, "--out", str(out_bench)], out_bench)
+    first, second = _rerun_snapshot(["benchmark", *common, "--reps", "3000", "--out", str(out_bench)], out_bench)
     assert first == second, "benchmark outputs changed between identical runs"
     assert "benchmark_report.txt" in first
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import gc
@@ -284,18 +285,20 @@ def test_fit_on_fwci_values_summing_past_the_largest_float_is_a_data_error(tmp_p
 
 
 @pytest.mark.parametrize(
-    "command,flag",
-    [(["ingest"], "--input"), (["curve", "--n-list", "1,5", "--reps", "100"], "--out")],
+    "argv,flag",
+    [
+        (["ingest", "--input", "{path}", "--out", "{out}"], "--input"),
+        (["curve", "--n-list", "1,5", "--reps", "100", "--out", "{path}"], "--out"),
+    ],
     ids=["ingest-input", "curve-out"],
 )
-def test_non_utf8_path_is_echoed_with_byte_escapes(corpus_path, tmp_path, command, flag):
-    paths = {"--input": str(corpus_path), "--out": str(tmp_path / "out")}
-    paths[flag] = str(tmp_path / os.fsdecode(b"p\xff.csv"))
+def test_non_utf8_path_is_echoed_with_byte_escapes(corpus_path, tmp_path, argv, flag):
+    path = str(tmp_path / os.fsdecode(b"p\xff.csv"))
+    out = path if flag == "--out" else str(tmp_path / "out")
     if flag == "--input":
-        shutil.copyfile(corpus_path, paths[flag])
-    assert cli.main([*command, "--input", paths["--input"], "--out", paths["--out"]]) == 0
-    report = os.path.join(paths["--out"], f"{command[0]}_report.txt")
-    with open(report, encoding="utf-8") as fh:
+        shutil.copyfile(corpus_path, path)
+    assert cli.main([arg.format(path=path, out=out) for arg in argv]) == 0
+    with open(os.path.join(out, f"{argv[0]}_report.txt"), encoding="utf-8") as fh:
         assert f"  {flag[2:]} = {tmp_path}{os.sep}p\\xff.csv\n" in fh.read()
 
 
@@ -386,6 +389,10 @@ _BASE = {
 }
 
 
+# Small ensembles and Monte Carlo sizes, passed to the commands that read them.
+_SMALL = {"ingest": [], "fit": ["--fits", "10", "--bins", "20:60"], "benchmark": ["--reps", "100"]}
+
+
 @pytest.mark.parametrize("command", ["ingest", "fit", "benchmark"])
 @settings(max_examples=80, deadline=None)
 @given(
@@ -398,8 +405,9 @@ def test_corrupted_input_exits_0_or_2(command, records, budgets):
         data = _BASE[name] + data
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"--input": os.path.join(tmp, name), "--budgets": os.path.join(tmp, "budgets.csv")}
-        args = [command, "--out", os.path.join(tmp, "out"), "--fits", "10", "--bins", "20:60", "--reps", "100"]
-        for flag, content in (("--input", data), ("--budgets", budgets)):
+        args = [command, "--out", os.path.join(tmp, "out"), *_SMALL[command]]
+        # only ingest reads budgets
+        for flag, content in (("--input", data), ("--budgets", budgets if command == "ingest" else None)):
             if content is not None:
                 with open(paths[flag], "wb") as fh:
                     fh.write(content)
@@ -685,13 +693,11 @@ def test_benchmark_high_portfolio_all_above(tmp_path):
 # --- curve ---
 
 
-def test_curve_matches_library_values(corpus_path, tmp_path):
+def test_curve_matches_library_values(tmp_path):
     out = tmp_path / "out"
     code = cli.main(
         [
             "curve",
-            "--input",
-            str(corpus_path),
             "--out",
             str(out),
             "--n-list",
@@ -713,10 +719,10 @@ def test_curve_matches_library_values(corpus_path, tmp_path):
     assert (out / "curve_report.txt").read_text(encoding="utf-8").count("points = 9") == 1
 
 
-def test_curve_dedupes_n_list(corpus_path, tmp_path, capsys):
+def test_curve_dedupes_n_list(tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(
-        ["curve", "--input", str(corpus_path), "--out", str(out), "--n-list", "2,2", "--reps", "500"]
+        ["curve", "--out", str(out), "--n-list", "2,2", "--reps", "500"]
     )
     assert code == 0
     assert "duplicate" in capsys.readouterr().err
@@ -728,7 +734,7 @@ def test_curve_dedupes_n_list(corpus_path, tmp_path, capsys):
     "command,output,columns,echoed",
     [
         (
-            ["benchmark", "--sigma2", "1.0,1,1.3"],
+            ["benchmark", "--input", "{input}", "--sigma2", "1.0,1,1.3"],
             "benchmark.csv",
             ["award_code", "n_papers", "observed_mean", "threshold_1.0", "verdict_1.0", "threshold_1.3", "verdict_1.3"],
             "1.0,1.3",
@@ -739,7 +745,7 @@ def test_curve_dedupes_n_list(corpus_path, tmp_path, capsys):
 )
 def test_duplicate_sigma2_is_simulated_once(corpus_path, tmp_path, command, output, columns, echoed, capsys):
     out = tmp_path / "out"
-    code = cli.main([*command, "--input", str(corpus_path), "--out", str(out), "--reps", "500"])
+    code = cli.main([*(arg.format(input=corpus_path) for arg in command), "--out", str(out), "--reps", "500"])
     assert code == 0
     assert capsys.readouterr().err.count("warning: duplicate sigma2 1.0 ignored") == 1
     with open(out / output, encoding="utf-8", newline="") as fh:
@@ -753,27 +759,118 @@ def test_duplicate_sigma2_is_simulated_once(corpus_path, tmp_path, command, outp
     assert f"  sigma2 = {echoed}\n" in report
 
 
-@pytest.mark.parametrize("command", [["ingest"], ["fit", "--fits", "20"]], ids=["ingest", "fit"])
-def test_unused_sigma2_is_echoed_once_without_a_warning(corpus_path, tmp_path, command, capsys):
+# --- which flags each command accepts ---
+
+# The flags each command reads, in parser order. curve also accepts --input,
+# unread, unechoed and hidden from --help, for callers that still pass it.
+READS = {
+    "ingest": ("--input", "--budgets", "--low-cut", "--out"),
+    "fit": ("--input", "--low-cut", "--range", "--bins", "--fits", "--seed", "--out"),
+    "benchmark": ("--input", "--sigma2", "--reps", "--seed", "--out"),
+    "curve": ("--n-list", "--sigma2", "--reps", "--seed", "--out"),
+}
+# What a run needs besides its output directory, with small ensembles and Monte Carlo sizes.
+BASE_ARGS = {
+    "ingest": ["--input", "{input}"],
+    "fit": ["--input", "{input}", "--fits", "20"],
+    "benchmark": ["--input", "{input}", "--reps", "200"],
+    "curve": ["--n-list", "1,5", "--reps", "200"],
+}
+# For each flag but --out, a valid value that BASE_ARGS and the defaults do not give it.
+OTHER_VALUE = {
+    "--input": "{other_input}",
+    "--budgets": "{budgets}",
+    "--n-list": "1,6",
+    "--low-cut": "0.3",
+    "--range": "0:4",
+    "--bins": "20:40",
+    "--fits": "30",
+    "--sigma2": "1.5",
+    "--reps": "300",
+    "--seed": "5",
+}
+FOREIGN = [
+    (command, flag)
+    for command in READS
+    for flag in OTHER_VALUE
+    if flag not in READS[command] and (command, flag) != ("curve", "--input")
+]
+
+
+@pytest.fixture
+def cli_paths(corpus_path, budget_path, tmp_path):
+    """Values for the ``{name}`` fields of BASE_ARGS and OTHER_VALUE: a second corpus is the first one's first 300 rows."""
+    other = tmp_path / "other.csv"
+    other.write_text("".join(corpus_path.read_text(encoding="utf-8").splitlines(True)[:301]), encoding="utf-8")
+    return {"input": corpus_path, "other_input": other, "budgets": budget_path}
+
+
+def accepted_flags(command):
+    """The flags the command's parser accepts, in order, leaving out -h and those hidden from --help."""
+    sub = next(action for action in cli._build_parser()._actions if action.dest == "command")
+    actions = sub.choices[command]._actions
+    return [a.option_strings[0] for a in actions if a.dest != "help" and a.help != argparse.SUPPRESS]
+
+
+@pytest.mark.parametrize("command", READS)
+def test_each_command_accepts_exactly_the_flags_it_reads(command):
+    assert accepted_flags(command) == list(READS[command])
+
+
+@pytest.mark.parametrize("command,flag", FOREIGN, ids=[f"{c}-{f[2:]}" for c, f in FOREIGN])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(cli_paths, tmp_path, command, flag, capsys):
     out = tmp_path / "out"
-    code = cli.main([*command, "--input", str(corpus_path), "--out", str(out), "--sigma2", "1,1.3,1.0"])
-    assert code == 0
-    assert "warning" not in capsys.readouterr().err
-    report = next(out.glob("*_report.txt")).read_text(encoding="utf-8")
-    assert "  sigma2 = 1.0,1.3\n" in report
+    argv = [command, *BASE_ARGS[command], "--out", str(out), flag, OTHER_VALUE[flag]]
+    assert cli.main([arg.format(**cli_paths) for arg in argv]) == 1
+    assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def outputs_outside_config(argv, out, capsys):
+    """stdout and each output file of a run, with the config block cut out of every report."""
+    shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    files = {"stdout": capsys.readouterr().out}
+    for name, data in read_outputs(out).items():
+        lines = data.decode("utf-8").splitlines()
+        if "config:" in lines:
+            start = lines.index("config:")
+            stop = next((i for i in range(start + 1, len(lines)) if not lines[i].startswith("  ")), len(lines))
+            lines[start:stop] = []
+        files[name] = lines
+    return files
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c in READS for f in accepted_flags(c) if f != "--out"])
+def test_every_flag_a_command_accepts_changes_its_output(cli_paths, tmp_path, command, flag, capsys):
+    base = [command, *(arg.format(**cli_paths) for arg in BASE_ARGS[command])]
+    other = [*base, flag, OTHER_VALUE[flag].format(**cli_paths)]  # the last value of a flag wins
+    out = tmp_path / "out"
+    assert outputs_outside_config(other, out, capsys) != outputs_outside_config(base, out, capsys)
+
+
+def test_curve_accepts_input_unread_and_unechoed(tmp_path, capsys):
+    argv = ["curve", "--n-list", "1,5", "--reps", "200", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    without = read_outputs(tmp_path / "out"), capsys.readouterr()
+    assert cli.main([*argv, "--input", str(tmp_path / "missing.csv")]) == 0
+    assert (read_outputs(tmp_path / "out"), capsys.readouterr()) == without
+    assert cli.main(["curve", "--help"]) == 0
+    assert "--input" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
     "command,output",
     [
-        (["benchmark", "--sigma2", "1e6"], "benchmark.csv"),
+        (["benchmark", "--input", "{input}", "--sigma2", "1e6"], "benchmark.csv"),
         (["curve", "--sigma2", "2000", "--n-list", "1,400"], "median_curve.csv"),
     ],
     ids=["benchmark", "curve"],
 )
 def test_underflowing_sigma2_writes_no_threshold(corpus_path, tmp_path, command, output, capsys):
     out = tmp_path / "out"
-    code = cli.main([*command, "--input", str(corpus_path), "--out", str(out), "--reps", "100"])
+    code = cli.main([*(arg.format(input=corpus_path) for arg in command), "--out", str(out), "--reps", "100"])
     assert code == 3
     assert "underflows" in capsys.readouterr().err
     assert not (out / output).exists()
@@ -810,12 +907,13 @@ def test_missing_required_input():
 )
 def test_bad_flag_values(flag, value, capsys):
     # x.csv does not exist either, so argparse must be the one that says no
-    assert cli.main(["fit", "--input", "x.csv", f"{flag}={value}"]) == 1
+    command = "benchmark" if flag == "--sigma2" else "fit"
+    assert cli.main([command, "--input", "x.csv", f"{flag}={value}"]) == 1
     assert f"argument {flag}" in capsys.readouterr().err
 
 
-def test_bad_n_list(corpus_path):
-    assert cli.main(["curve", "--input", str(corpus_path), "--n-list", "0,5"]) == 1
+def test_bad_n_list():
+    assert cli.main(["curve", "--n-list", "0,5"]) == 1
 
 
 # --- collector and start-up ---
@@ -879,6 +977,14 @@ def test_ingest_help_and_usage_errors_never_import_numpy(corpus_path, tmp_path, 
     shutil.copy(corpus_path, tmp_path / "small.csv")
     main_then_modules = "import sys; from fwcibench import cli; print(cli.main(sys.argv[1:]), 'numpy' in sys.modules)"
     assert run_fresh(main_then_modules, *argv, cwd=tmp_path)[-1] == f"{code} False"
+
+
+def test_fit_never_imports_numpy_ma(corpus_path, tmp_path):
+    # np.unique and np.percentile import numpy.ma on their first call, some 10-20 ms
+    shutil.copy(corpus_path, tmp_path / "small.csv")
+    main_then_modules = "import sys; from fwcibench import cli; print(cli.main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+    argv = ["fit", "--input", "small.csv", "--fits", "20", "--out", "out"]
+    assert run_fresh(main_then_modules, *argv, cwd=tmp_path)[-1] == "0 False"
 
 
 def test_package_loads_its_submodules_on_first_use():

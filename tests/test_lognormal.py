@@ -386,6 +386,16 @@ def test_ensemble_counts_every_failed_draw():
     assert (ens.n_failed, failing.size, len(np.unique(failing))) == (6, 6, 2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 2500])
+def test_sorted_percentiles_equal_numpy_bit_for_bit(n):
+    # drawn with replacement from one-decimal values, so ties abound; + 0.0 turns -0.0 into 0.0
+    rng = np.random.default_rng(n)
+    x = rng.choice(np.round(rng.standard_normal(n), 1) + 0.0, size=n)
+    q = (2.5, 50.0, 97.5)
+    got = lognormal._sorted_percentiles(np.sort(x), q)
+    assert [v.hex() for v in got] == [float(v).hex() for v in np.percentile(x, q)]
+
+
 def test_ensemble_does_not_depend_on_how_its_fits_are_batched(trunc_sampler, monkeypatch):
     # bin counts 2 and 3 always fail; at a 1-cell cap every block holds one fit
     args = (trunc_sampler(2000, P_FIT.mu, P_FIT.sigma, seed=31), 0.0, 8.0, 2, 300, 150)
