@@ -17,7 +17,10 @@ if a command fails.
 The portfolio is ``perfbench/generate.py``'s at a fixed seed. The run covers
 ``ingest`` with budgets, ``ingest`` with budgets on the same seed's portfolio
 scaled 60x (~190k rows, enough repeated codes, rejections and duplicates to
-exercise the parser at volume), ``fit`` at the default flags, ``fit`` with
+exercise the parser at volume), ``ingest`` on a small table written here as
+CSV and as JSONL, whose titles and source ids hold a comma, a quote, LF, CR
+and CRLF, with one blank and one short row (the writer's quoting and both
+parsers), ``fit`` at the default flags, ``fit`` with
 non-default ``--low-cut``, ``--range`` and ``--bins``, ``fit`` with no low
 cut, ``fit`` on the tail window ``--range 1:8``, which leaves out the mode
 e^mu so that mu lies outside every bin, ``fit`` at ``--bins 2:30``, whose
@@ -41,8 +44,10 @@ two central values and one of an odd number takes the central one, so the
 from __future__ import annotations
 
 import argparse
+import csv
 import difflib
 import hashlib
+import json
 import math
 import os
 import re
@@ -59,9 +64,30 @@ SEED = 20240
 FITS = ("--fits", "300")
 REPS = ("--reps", "4000")
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+COLUMNS = ("award_code", "year", "pub_type", "fwci", "citations", "title", "source_id")
+# The quoted-cells table; None stands for its one blank row, and the row of five cells is short.
+QUOTED_ROWS = [
+    ["12/IA/1570", "2014", "article", "1.5", "3", "Comma, inside", "W1"],
+    ["12/IA/1570", "2015", "article", "0.25", "1", 'A "quoted" word', "W2"],
+    ["12/IA/1570", "2016", "letter", "2.0", "", "Line\nfeed", "W3"],
+    None,
+    ["14/IA/2508", "2016", "article", "0.75", "4", "Carriage\rreturn", "W4"],
+    ["14/IA/2508", "2017", "note", "1.25", "2"],
+    ["14/IA/2508", "2018", "article", "3.0", "9", "CR LF\r\nin a title", 'W6,"x"'],
+    ["12/IB/1234", "2018", "article", "1.0", "1", "Bad code, quoted title", "W7"],
+]
 
 
-def runs(input_dir: str, input_60x_dir: str) -> dict[str, list[str]]:
+def write_quoted_input(input_dir: str) -> None:
+    """Write the quoted-cells table as ``pubs.csv`` and ``pubs.jsonl`` in ``input_dir``."""
+    os.makedirs(input_dir, exist_ok=True)
+    with open(os.path.join(input_dir, "pubs.csv"), "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([COLUMNS, *(row or [] for row in QUOTED_ROWS)])
+    with open(os.path.join(input_dir, "pubs.jsonl"), "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(json.dumps(dict(zip(COLUMNS, row))) + "\n" if row else "\n" for row in QUOTED_ROWS)
+
+
+def runs(input_dir: str, input_60x_dir: str, input_quoted_dir: str) -> dict[str, list[str]]:
     pubs = ["--input", os.path.join(input_dir, "pubs.csv")]
     return {
         "ingest": ["ingest", *pubs, "--budgets", os.path.join(input_dir, "budgets.csv")],
@@ -72,6 +98,8 @@ def runs(input_dir: str, input_60x_dir: str) -> dict[str, list[str]]:
             "--budgets",
             os.path.join(input_60x_dir, "budgets.csv"),
         ],
+        "ingest-quoted": ["ingest", "--input", os.path.join(input_quoted_dir, "pubs.csv")],
+        "ingest-quoted-jsonl": ["ingest", "--input", os.path.join(input_quoted_dir, "pubs.jsonl")],
         "fit": ["fit", *pubs, *FITS],
         "fit-window": ["fit", *pubs, *FITS, "--low-cut", "0.2", "--range", "0.15:6", "--bins", "30:300", "--seed", "7"],
         "fit-no-cut": ["fit", *pubs, *FITS, "--low-cut", "0"],
@@ -86,11 +114,11 @@ def runs(input_dir: str, input_60x_dir: str) -> dict[str, list[str]]:
     }
 
 
-def run_all(src: str, out_dir: str, input_dir: str, input_60x_dir: str) -> dict[str, bytes] | None:
+def run_all(src: str, out_dir: str, inputs: tuple[str, str, str]) -> dict[str, bytes] | None:
     """Run every command with the package in ``src``; each output file's bytes by path, or None if one fails."""
     env = dict(os.environ, PYTHONPATH=src)
     files = {}
-    for name, cli_args in runs(input_dir, input_60x_dir).items():
+    for name, cli_args in runs(*inputs).items():
         run_dir = os.path.join(out_dir, name)
         shutil.rmtree(run_dir, ignore_errors=True)  # a file the command no longer writes must not linger
         os.makedirs(run_dir)
@@ -136,12 +164,12 @@ def main(argv: list[str]) -> int:
         "--against", metavar="OTHER_SRC", help="print only the files whose hashes differ from OTHER_SRC's"
     )
     args = parser.parse_args(argv)
-    input_dir = os.path.join(args.out_dir, "input")
-    input_60x_dir = os.path.join(args.out_dir, "input-60x")
-    generate.generate(SEED, 1, input_dir)
-    generate.generate(SEED, 60, input_60x_dir)
-    theirs = {} if args.against is None else run_all(args.against, args.out_dir, input_dir, input_60x_dir)
-    ours = None if theirs is None else run_all(os.path.join(ROOT, "src"), args.out_dir, input_dir, input_60x_dir)
+    inputs = tuple(os.path.join(args.out_dir, name) for name in ("input", "input-60x", "input-quoted"))
+    generate.generate(SEED, 1, inputs[0])
+    generate.generate(SEED, 60, inputs[1])
+    write_quoted_input(inputs[2])
+    theirs = {} if args.against is None else run_all(args.against, args.out_dir, inputs)
+    ours = None if theirs is None else run_all(os.path.join(ROOT, "src"), args.out_dir, inputs)
     if ours is None:
         return 2
     if args.against is None:

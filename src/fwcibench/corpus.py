@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 PUBLICATION_TYPES = frozenset(
     {
@@ -33,6 +34,8 @@ CSV_COLUMNS = ("award_code", "year", "pub_type", "fwci", "citations", "title", "
 _CANONICAL_CODE = re.compile(r"^[0-9]{2}/IA/[0-9]{4}$")
 # What a JSON "\ud800"-style escape decodes to when no partner completes the pair.
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+_MISSING_CODE = "missing award_code"
+_WRITE_CHUNK = 4096  # rows per write: one join of a 190k-row file raised ingest's peak RSS from 92 to 121 MB
 
 
 class AwardCodeError(ValueError):
@@ -136,7 +139,7 @@ def _parse_award_code(cell: object) -> tuple[str, str]:
     """``(canonical code, "")``, or ``("", reason)`` when the row must be rejected."""
     text = _text(cell)
     if not text:
-        return "", "missing award_code"
+        return "", _MISSING_CODE
     try:
         return normalize_award_code(text), ""
     except AwardCodeError as exc:
@@ -162,59 +165,22 @@ def _parse_year(cell: object) -> tuple[int, str]:
     return (year, "") if year > 0 else (0, f"year {cell!r} is not positive")
 
 
-def _record_from_fields(
-    fields: Sequence[object], codes: Callable, years: Callable, pub_types: Callable
-) -> PublicationRecord | str:
-    """The record in one row's ``CSV_COLUMNS`` cells, or the reason to reject the row.
+def _csv_header(reader: Iterator[list[str]], required: tuple[str, ...], what: str) -> tuple[Callable, int]:
+    """``(pick, width)`` from a CSV table's header row: ``pick`` maps a row of ``width`` or more cells to its cells of ``required``.
 
-    CSV cells are always ``str``; JSONL cells may be any JSON value, which
-    is read through its ``str`` form but quoted as itself in a reason.
-    ``codes``, ``years`` and ``pub_types`` are the memoised parsers of their
-    columns. They take only ``str`` cells: JSON's ``1``, ``1.0`` and ``True``
-    are one key but three texts, and lists are not hashable.
+    The header must name every column in ``required`` (case and surrounding
+    blanks ignored; at least two, so the cells come as a tuple); other
+    columns are ignored.
     """
-    code_cell, year_cell, type_cell, fwci_cell, cit_cell, title_cell, source_cell = fields
-    code, reason = codes(code_cell) if type(code_cell) is str else _parse_award_code(code_cell)
-    if reason:
-        return reason
-    year, reason = years(year_cell) if type(year_cell) is str else _parse_year(year_cell)
-    if reason:
-        return reason
-
-    fwci: float | None = None
-    text = fwci_cell.strip() if type(fwci_cell) is str else _text(fwci_cell)
-    if text:
-        try:
-            fwci = _number(float, text)
-        except ValueError:
-            return f"fwci {fwci_cell!r} is not a number"
-        if not math.isfinite(fwci):
-            return "fwci is not finite"
-        if fwci < 0:
-            return "negative fwci"
-
-    citations: int | None = None
-    text = cit_cell.strip() if type(cit_cell) is str else _text(cit_cell)
-    if text:
-        try:
-            citations = _number(int, text)
-        except ValueError:
-            return f"citations {cit_cell!r} is not an integer"
-        if citations < 0:
-            return "negative citation count"
-
-    if type(title_cell) is not str:
-        title_cell = "" if title_cell is None else str(title_cell)
-    # Positional, in field order: keyword arguments add about 1 us to every record.
-    return PublicationRecord(
-        code,
-        year,
-        pub_types(type_cell) if type(type_cell) is str else _parse_pub_type(type_cell),
-        fwci,
-        citations,
-        title_cell if title_cell.strip() else "",
-        source_cell.strip() if type(source_cell) is str else _text(source_cell),
-    )
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"empty {what} table: no header row")
+    cols = [c.strip().lower() for c in header]
+    missing = [c for c in required if c not in cols]
+    if missing:
+        raise DataError(f"{what} header is missing columns: {', '.join(missing)}")
+    index = [cols.index(name) for name in required]
+    return operator.itemgetter(*index), max(index) + 1
 
 
 def _csv_rows(
@@ -222,39 +188,28 @@ def _csv_rows(
 ) -> Iterator[tuple[int, tuple[str, ...], list[str]]]:
     """Yield ``(line_num, cells of required, all cells)`` for each non-blank data row of a CSV table.
 
-    The header must name every column in ``required`` (case and surrounding
-    blanks ignored; at least two, so the cells come as a tuple); other
-    columns are ignored. A row shorter than the header reads its missing
-    cells as empty. A line the ``csv`` module cannot read raises
-    :class:`DataError` with its line number.
+    A row shorter than the header reads its missing cells as empty. A line
+    the ``csv`` module cannot read raises :class:`DataError` with its line
+    number.
     """
     reader = csv.reader(stream)
     try:
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"empty {what} table: no header row")
-        cols = [c.strip().lower() for c in header]
-        missing = [c for c in required if c not in cols]
-        if missing:
-            raise DataError(f"{what} header is missing columns: {', '.join(missing)}")
-        index = [cols.index(name) for name in required]
-        pick = operator.itemgetter(*index)
-        width = max(index) + 1
+        pick, width = _csv_header(reader, required, what)
         for cells in reader:
-            if not any(map(str.strip, cells)):
-                continue
-            yield reader.line_num, pick(cells if len(cells) >= width else cells + [""] * width), cells
+            if any(map(str.strip, cells)):
+                yield reader.line_num, pick(cells if len(cells) >= width else cells + [""] * width), cells
     except csv.Error as exc:
         raise DataError(f"line {reader.line_num}: {exc}") from exc
 
 
-def _jsonl_rows(stream: TextIO) -> Iterator[tuple[int, tuple[object, ...] | str, list[str]]]:
-    """Yield ``(line_num, fields, [line])`` for each non-blank line of a JSONL stream.
+def _jsonl_rows(stream: TextIO, rejections: list[RowRejection]) -> Iterator[list]:
+    """Yield ``[value of each of CSV_COLUMNS, line_num, line]`` for each JSON object line of a JSONL stream.
 
-    ``fields`` holds the line's values for ``CSV_COLUMNS`` (``None`` where a
-    key is missing), or is the reason for rejecting the line: it is not a
-    JSON object, cannot be decoded (bad syntax, nesting too deep, an integer
-    too long), or holds a ``\\udXXX`` escape that no output file can encode.
+    A value is ``None`` where its key is missing. Blank lines are skipped.
+    Any other line is added to ``rejections`` before the next row is
+    yielded: one that is not a JSON object, cannot be decoded (bad syntax,
+    nesting too deep, an integer too long), or holds a ``\\udXXX`` escape
+    that no output file can encode.
     """
     for lineno, line in enumerate(stream, start=1):
         raw = line.rstrip("\r\n")
@@ -263,16 +218,21 @@ def _jsonl_rows(stream: TextIO) -> Iterator[tuple[int, tuple[object, ...] | str,
         try:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
-            fields = f"not valid JSON: {exc.msg}"
+            reason = f"not valid JSON: {exc.msg}"
         except RecursionError:
-            fields = "not valid JSON: nested too deeply"
+            reason = "not valid JSON: nested too deeply"
         except ValueError:  # an integer past the interpreter's digit limit
-            fields = "not valid JSON: a number has too many digits"
+            reason = "not valid JSON: a number has too many digits"
         else:
-            fields = tuple(map(obj.get, CSV_COLUMNS)) if isinstance(obj, dict) else "line is not a JSON object"
-        if isinstance(fields, tuple) and any(type(v) is str and _LONE_SURROGATE.search(v) for v in fields):
-            fields = "a string holds an unpaired surrogate, which is not Unicode text"
-        yield lineno, fields, [raw]
+            fields = list(map(obj.get, CSV_COLUMNS)) if isinstance(obj, dict) else None
+            if fields is None:
+                reason = "line is not a JSON object"
+            elif any(type(v) is str and _LONE_SURROGATE.search(v) for v in fields):
+                reason = "a string holds an unpaired surrogate, which is not Unicode text"
+            else:
+                yield [*fields, lineno, raw]
+                continue
+        rejections.append(RowRejection(lineno, reason, raw))
 
 
 def parse_records(stream: TextIO, fmt: str = "csv") -> tuple[list[PublicationRecord], list[RowRejection]]:
@@ -282,23 +242,78 @@ def parse_records(stream: TextIO, fmt: str = "csv") -> tuple[list[PublicationRec
     (one JSON object per line, same field names). Malformed rows never abort
     the parse: they are collected as :class:`RowRejection` entries with the
     row number and reason. An empty FWCI cell parses to absent, not zero.
+
+    One loop holds the field rules of both formats. CSV cells are always
+    ``str``; JSONL cells may be any JSON value, which is read through its
+    ``str`` form but quoted as itself in a reason.
     """
-    if fmt == "csv":
-        rows = _csv_rows(stream, CSV_COLUMNS, "record")
-    elif fmt == "jsonl":
-        rows = _jsonl_rows(stream)
-    else:
-        raise ValueError(f"unknown record format {fmt!r} (expected 'csv' or 'jsonl')")
-    # Award codes, years and publication types repeat from row to row: parse each distinct cell once.
-    codes, years, pub_types = map(functools.cache, (_parse_award_code, _parse_year, _parse_pub_type))
     records: list[PublicationRecord] = []
     rejections: list[RowRejection] = []
-    for line_num, fields, cells in rows:
-        out = fields if isinstance(fields, str) else _record_from_fields(fields, codes, years, pub_types)
-        if isinstance(out, str):
-            rejections.append(RowRejection(line_num, out, ",".join(cells)))
-        else:
-            records.append(out)
+    if fmt == "csv":
+        rows = reader = csv.reader(stream)
+        where = lambda cells: (reader.line_num, ",".join(cells))  # noqa: E731
+    elif fmt == "jsonl":
+        rows, where = _jsonl_rows(stream, rejections), operator.itemgetter(-2, -1)
+        pick, width = operator.itemgetter(*range(len(CSV_COLUMNS))), len(CSV_COLUMNS)
+    else:
+        raise ValueError(f"unknown record format {fmt!r} (expected 'csv' or 'jsonl')")
+    # Award codes, years and publication types repeat from row to row: parse
+    # each distinct cell once. The memos take only str cells: JSON's 1, 1.0
+    # and True are one key but three texts, and lists are not hashable.
+    codes, years, pub_types = map(functools.cache, (_parse_award_code, _parse_year, _parse_pub_type))
+    # No Python-level call per accepted row: a frame per row (a generator, a
+    # field parser, the NamedTuple's __new__) costs more than the rules.
+    new, isfinite = tuple.__new__, math.isfinite
+    try:
+        if fmt == "csv":
+            pick, width = _csv_header(reader, CSV_COLUMNS, "record")
+        for cells in rows:
+            code_cell, year_cell, type_cell, fwci_cell, cit_cell, title_cell, source_cell = pick(
+                cells if len(cells) >= width else cells + [""] * width
+            )
+            code, reason = codes(code_cell) if type(code_cell) is str else _parse_award_code(code_cell)
+            if not reason:
+                year, reason = years(year_cell) if type(year_cell) is str else _parse_year(year_cell)
+            fwci = citations = None
+            if not reason:
+                text = fwci_cell.strip() if type(fwci_cell) is str else _text(fwci_cell)
+                if text:
+                    # "_" and non-ASCII digits are refused, as _number refuses them
+                    try:
+                        fwci = float(text) if "_" not in text and text.isascii() else None
+                    except ValueError:
+                        pass
+                    if fwci is None:
+                        reason = f"fwci {fwci_cell!r} is not a number"
+                    elif not isfinite(fwci):
+                        reason = "fwci is not finite"
+                    elif fwci < 0:
+                        reason = "negative fwci"
+            if not reason:
+                text = cit_cell.strip() if type(cit_cell) is str else _text(cit_cell)
+                if text:
+                    try:
+                        citations = int(text) if "_" not in text and text.isascii() else None
+                    except ValueError:
+                        pass
+                    if citations is None:
+                        reason = f"citations {cit_cell!r} is not an integer"
+                    elif citations < 0:
+                        reason = "negative citation count"
+            if reason:
+                # a blank CSV row is skipped; it first fails here, as a row with no code
+                if not (reason == _MISSING_CODE and fmt == "csv" and not any(map(str.strip, cells))):
+                    line_num, raw = where(cells)
+                    rejections.append(RowRejection(line_num, reason, raw))
+                continue
+            pub_type = pub_types(type_cell) if type(type_cell) is str else _parse_pub_type(type_cell)
+            if type(title_cell) is not str:
+                title_cell = "" if title_cell is None else str(title_cell)
+            title = title_cell if title_cell.strip() else ""
+            source_id = source_cell.strip() if type(source_cell) is str else _text(source_cell)
+            records.append(new(PublicationRecord, (code, year, pub_type, fwci, citations, title, source_id)))
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from exc
     return records, rejections
 
 
@@ -320,12 +335,27 @@ def read_records(path: str) -> tuple[list[PublicationRecord], list[RowRejection]
 def write_records_csv(records: Iterable[PublicationRecord], stream: TextIO) -> None:
     """Write records back out in the canonical CSV schema (empty cell = absent).
 
-    A record is its cells in ``CSV_COLUMNS`` order; the csv module writes a
-    float by ``repr`` and None as an empty cell.
+    A row reads as ``csv.writer`` writes it: a float by ``repr``, an int by
+    ``str``, None as an empty cell. Only a title or source_id can hold a
+    ``,``, ``"``, CR or LF once parsed, and such a cell is quoted, with its
+    quotes doubled. Unlike ``csv.writer(lineterminator="\\n")``, this quotes a
+    bare CR too, so that the file reads back. Rows are joined
+    ``_WRITE_CHUNK`` at a time, so memory does not grow with the file.
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(records)
+    stream.write(",".join(CSV_COLUMNS) + "\n")
+    # compiled here, not at import, which every command pays for
+    quote, rows = re.compile('[,"\r\n]').search, iter(records)
+    while chunk := list(itertools.islice(rows, _WRITE_CHUNK)):
+        lines = [
+            f"{code},{year},{pub_type},{'' if fwci is None else repr(fwci)},{'' if citations is None else citations},"
+            f"{_quoted(title) if quote(title) else title},{_quoted(source) if quote(source) else source}\n"
+            for code, year, pub_type, fwci, citations, title, source in chunk
+        ]
+        stream.write("".join(lines))
+
+
+def _quoted(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
 
 
 def dedupe_per_award(records: list[PublicationRecord]) -> tuple[list[PublicationRecord], int]:

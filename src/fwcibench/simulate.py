@@ -99,14 +99,6 @@ class SigmaAggregate:
         return self.n_above / self.n_total
 
 
-def sample_lognormal(params: LognormalParams, n: int, stream: np.random.Generator) -> np.ndarray:
-    """Draw n values e^(mu + sigma Z), advancing the stream deterministically."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    z = stream.standard_normal(n)
-    return np.exp(params.mu + params.sigma * z)
-
-
 def _stream(seed: int, block: int) -> np.random.Generator:
     """The generator stream of one block of reps."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(block)]))
@@ -156,7 +148,7 @@ def median_curve(n_values, baselines, reps: int, seed: int) -> list[MedianCurveP
         for _ in range(start, stop):
             streams[b].standard_normal(out=z)
             for p, total in zip(params, totals):
-                # in place: sample_lognormal's fresh arrays per paper cost ~60% more time
+                # in place: a fresh e^(mu + sigma z) array per paper costs ~60% more time
                 np.multiply(z, p.sigma, out=x)
                 x += p.mu
                 np.exp(x, out=x)

@@ -45,3 +45,13 @@ def truncated_lognormal(n: int, mu: float, sigma: float, seed: int, lo: float = 
 @pytest.fixture
 def trunc_sampler():
     return truncated_lognormal
+
+
+def lognormal_draws(params, n: int, stream: np.random.Generator) -> np.ndarray:
+    """n draws e^(mu + sigma Z) from one ``standard_normal(n)`` call on ``stream``."""
+    return np.exp(params.mu + params.sigma * stream.standard_normal(n))
+
+
+@pytest.fixture
+def lognormal_sampler():
+    return lognormal_draws

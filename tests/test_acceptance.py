@@ -37,7 +37,6 @@ from fwcibench.simulate import (
     aggregate_benchmarks,
     benchmark_award,
     median_curve,
-    sample_lognormal,
 )
 
 SEED = 1
@@ -212,13 +211,13 @@ def test_c08_cli_reruns_byte_identical(tmp_path):
     assert "benchmark_report.txt" in first
 
 
-def test_c09_null_portfolio_calibration():
+def test_c09_null_portfolio_calibration(lognormal_sampler):
     baseline = BaselineField(1.3)
     rng = np.random.default_rng(907)
     summaries = []
     for i in range(148):
         n = int(rng.integers(2, 41))
-        draws = sample_lognormal(baseline.params, n, rng)
+        draws = lognormal_sampler(baseline.params, n, rng)
         summaries.append(
             AwardSummary(
                 award_code=f"{10 + i // 100:02d}/IA/{1000 + i}",

@@ -1009,8 +1009,12 @@ TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
             | {"leastsq.damped_least_squares"},
         ),
         (["benchmark", "--reps", "500"], {"corpus.read_records", "simulate.median_curve", "simulate.benchmark_award"}),
+        (
+            ["ingest"],
+            {"corpus.read_records", "corpus.dedupe_per_award", "corpus.summarize_awards", "corpus.write_records_csv"},
+        ),
     ],
-    ids=["fit", "benchmark"],
+    ids=["fit", "benchmark", "ingest"],
 )
 def test_traced_launch_finds_its_layers_and_writes_the_same_files(corpus_path, tmp_path, argv, layers):
     # perfbench/traced.py rebinds layer functions by name, so renaming one fails every traced launch

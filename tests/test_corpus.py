@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -504,6 +505,74 @@ def test_record_is_a_tuple_of_its_fields():
     record = rec(fwci=1.5, citations=3, title="t")
     assert record._fields == corpus.CSV_COLUMNS
     assert record == ("12/IA/1234", 2015, "article", 1.5, 3, "t", "s1") == tuple(record)
+
+
+# --- write_records_csv ---
+
+
+def test_written_title_and_source_id_read_back():
+    # csv.writer(lineterminator="\n") leaves a bare CR unquoted, so the row splits in two on reading
+    texts = ["Carriage\rReturn", "CR LF\r\nend", "a, b", 'say "hi"', "line\nbreak", '"\r"']
+    records = [rec(title=text, source_id=f"S{text}E") for text in texts] + [rec(title="plain", source_id="SX")]
+    buf = io.StringIO(newline="")
+    corpus.write_records_csv(records, buf)
+    back, rejections = corpus.parse_records(io.StringIO(buf.getvalue(), newline=""))
+    assert not rejections
+    assert back == records
+
+
+@st.composite
+def parsed_records(draw):
+    """A record as parse_records gives one, with title and source_id cells from the parser's pools."""
+    title = draw(st.one_of(CELLS["title"], st.sampled_from(["Carriage\rReturn", "\r\n", '\r"q"'])))
+    source_id = draw(st.one_of(CELLS["source_id"], _TEXT))
+    return PublicationRecord(
+        draw(st.sampled_from(["12/IA/1570", "14/IA/2508"])),
+        draw(st.integers(1, 3000)),
+        draw(st.sampled_from(sorted(corpus.PUBLICATION_TYPES))),
+        draw(st.none() | st.floats(min_value=0, allow_infinity=False)),
+        draw(st.none() | st.integers(0, 10**9)),
+        title if title.strip() else "",
+        source_id.strip(),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(parsed_records(), max_size=12))
+def test_writer_matches_csv_writer_and_reads_back(records):
+    buf = io.StringIO(newline="")
+    corpus.write_records_csv(records, buf)
+    if not any("\r" in r.title + r.source_id for r in records):
+        oracle = io.StringIO(newline="")
+        csv.writer(oracle, lineterminator="\n").writerows([corpus.CSV_COLUMNS, *records])
+        assert buf.getvalue() == oracle.getvalue()
+    back, rejections = corpus.parse_records(io.StringIO(buf.getvalue(), newline=""))
+    assert not rejections
+    assert back == records
+
+
+def test_writer_memory_does_not_grow_with_the_file():
+    # 50,000 formatted rows take about 6 MB; the writer holds one chunk of them at a time
+    records = [
+        rec(code=f"12/IA/{i % 10_000:04d}", fwci=i / 7, citations=i, title=f"Paper number {i}", source_id=f"W{i}")
+        for i in range(50_000)
+    ]
+
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        corpus.write_records_csv(records, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 3_000_000
+    assert peak < 4 * 2**20, f"writing 50,000 records peaked at {peak:,} bytes"
 
 
 # --- filter_eligible ---

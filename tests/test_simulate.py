@@ -19,7 +19,6 @@ from fwcibench.simulate import (
     aggregate_benchmarks,
     benchmark_award,
     median_curve,
-    sample_lognormal,
 )
 
 SEED = 1
@@ -64,36 +63,31 @@ def test_baseline_params_location():
     assert p.mu == pytest.approx(-0.65, rel=1e-12)
 
 
-# --- sample_lognormal ---
+# --- lognormal draws (the tests' sampler) ---
 
 
-def test_sample_degenerate_sigma():
+def test_sample_degenerate_sigma(lognormal_sampler):
     p = LognormalParams(mu=0.2, sigma=1e-15)
-    draws = sample_lognormal(p, 100, np.random.default_rng(0))
+    draws = lognormal_sampler(p, 100, np.random.default_rng(0))
     assert np.allclose(draws, math.exp(0.2), rtol=1e-12)
 
 
-def test_sample_mean_obeys_large_numbers():
-    draws = sample_lognormal(BaselineField(1.3).params, 1_000_000, np.random.default_rng(10))
+def test_sample_mean_obeys_large_numbers(lognormal_sampler):
+    draws = lognormal_sampler(BaselineField(1.3).params, 1_000_000, np.random.default_rng(10))
     assert draws.mean() == pytest.approx(1.0, abs=0.01)
 
 
-def test_sample_median_symmetry():
+def test_sample_median_symmetry(lognormal_sampler):
     p = BaselineField(1.3).params
-    draws = sample_lognormal(p, 1_000_000, np.random.default_rng(11))
+    draws = lognormal_sampler(p, 1_000_000, np.random.default_rng(11))
     below = float((draws < math.exp(p.mu)).mean())
     assert below == pytest.approx(0.5, abs=0.002)
 
 
-def test_sample_advances_stream_deterministically():
-    a = sample_lognormal(BaselineField(1.0).params, 50, np.random.default_rng(5))
-    b = sample_lognormal(BaselineField(1.0).params, 50, np.random.default_rng(5))
+def test_sample_advances_stream_deterministically(lognormal_sampler):
+    a = lognormal_sampler(BaselineField(1.0).params, 50, np.random.default_rng(5))
+    b = lognormal_sampler(BaselineField(1.0).params, 50, np.random.default_rng(5))
     assert np.array_equal(a, b)
-
-
-def test_sample_requires_positive_n():
-    with pytest.raises(ValueError):
-        sample_lognormal(BaselineField(1.0).params, 0, np.random.default_rng(0))
 
 
 # --- medians ---
