@@ -19,8 +19,9 @@ The portfolio is ``perfbench/generate.py``'s at a fixed seed. The run covers
 scaled 60x (~190k rows, enough repeated codes, rejections and duplicates to
 exercise the parser at volume), ``ingest`` on a small table written here as
 CSV and as JSONL, whose titles and source ids hold a comma, a quote, LF, CR
-and CRLF, with one blank and one short row (the writer's quoting and both
-parsers), ``fit`` at the default flags, ``fit`` with
+and CRLF, with one blank and one short row and two rejected rows, one of
+them with an LF in its title (the writer's quoting, both parsers and the
+one-line rejections), ``fit`` at the default flags, ``fit`` with
 non-default ``--low-cut``, ``--range`` and ``--bins``, ``fit`` with no low
 cut, ``fit`` on the tail window ``--range 1:8``, which leaves out the mode
 e^mu so that mu lies outside every bin, ``fit`` at ``--bins 2:30``, whose
@@ -35,9 +36,11 @@ takes seconds, each ``fit`` gets ``--fits 300`` and each ``benchmark`` and
 ``--against`` may run requires it. The Monte Carlo splits
 its reps into blocks of at most 2**15, each with its own stream and one task
 per block on a thread pool: the other runs' 4,000 reps are one block, and the
-70,000-rep curve is three. A median of an even number of reps averages the
-two central values and one of an odd number takes the central one, so the
-4,001-rep curve covers the odd case. Each command's stdout is kept as
+70,000-rep curve is three. A block of m reps draws ceil(m / 2) normals per
+paper, and its last floor(m / 2) reps take the first normals negated. A
+median of an even number of reps averages the two central values and one of
+an odd number takes the central one, so the 4,001-rep curve covers the odd
+case, and its one block's middle rep has no mirror. Each command's stdout is kept as
 ``stdout.txt`` beside its output files.
 """
 
@@ -75,6 +78,7 @@ QUOTED_ROWS = [
     ["14/IA/2508", "2017", "note", "1.25", "2"],
     ["14/IA/2508", "2018", "article", "3.0", "9", "CR LF\r\nin a title", 'W6,"x"'],
     ["12/IB/1234", "2018", "article", "1.0", "1", "Bad code, quoted title", "W7"],
+    ["12/IB/1235", "2019", "article", "1.0", "1", "Bad code,\nbroken title", "W8"],
 ]
 
 

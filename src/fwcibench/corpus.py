@@ -202,6 +202,25 @@ def _csv_rows(
         raise DataError(f"line {reader.line_num}: {exc}") from exc
 
 
+def _first_line(line_num: int, cells: list[str]) -> int:
+    """The first line of a CSV row that ``csv.reader`` read up to line ``line_num``: less the line breaks in its cells, a CRLF counting once."""
+    text = ",".join(cells)
+    return line_num - text.count("\n") - text.count("\r") + text.count("\r\n")
+
+
+def _csv_rejection(line_num: int, reason: str, cells: list[str]) -> RowRejection:
+    """A rejected CSV row, numbered by its first line, with its cells on one line of ``rejections.txt``.
+
+    A cell that holds ``,``, ``"``, CR or LF is quoted as
+    :func:`write_records_csv` quotes it, with CR and LF written as ``\\r``
+    and ``\\n``; other cells are written as read.
+    """
+    raw = ",".join(cells)
+    if raw.count(",") >= len(cells) or re.search('["\r\n]', raw):  # the join adds len(cells) - 1 commas
+        raw = ",".join(_quoted(c).replace("\r", "\\r").replace("\n", "\\n") if re.search('[,"\r\n]', c) else c for c in cells)
+    return RowRejection(_first_line(line_num, cells), reason, raw)
+
+
 def _jsonl_rows(stream: TextIO, rejections: list[RowRejection]) -> Iterator[list]:
     """Yield ``[value of each of CSV_COLUMNS, line_num, line]`` for each JSON object line of a JSONL stream.
 
@@ -251,9 +270,10 @@ def parse_records(stream: TextIO, fmt: str = "csv") -> tuple[list[PublicationRec
     rejections: list[RowRejection] = []
     if fmt == "csv":
         rows = reader = csv.reader(stream)
-        where = lambda cells: (reader.line_num, ",".join(cells))  # noqa: E731
+        reject = lambda reason, cells: _csv_rejection(reader.line_num, reason, cells)  # noqa: E731
     elif fmt == "jsonl":
-        rows, where = _jsonl_rows(stream, rejections), operator.itemgetter(-2, -1)
+        rows = _jsonl_rows(stream, rejections)
+        reject = lambda reason, row: RowRejection(row[-2], reason, row[-1])  # noqa: E731
         pick, width = operator.itemgetter(*range(len(CSV_COLUMNS))), len(CSV_COLUMNS)
     else:
         raise ValueError(f"unknown record format {fmt!r} (expected 'csv' or 'jsonl')")
@@ -303,8 +323,7 @@ def parse_records(stream: TextIO, fmt: str = "csv") -> tuple[list[PublicationRec
             if reason:
                 # a blank CSV row is skipped; it first fails here, as a row with no code
                 if not (reason == _MISSING_CODE and fmt == "csv" and not any(map(str.strip, cells))):
-                    line_num, raw = where(cells)
-                    rejections.append(RowRejection(line_num, reason, raw))
+                    rejections.append(reject(reason, cells))
                 continue
             pub_type = pub_types(type_cell) if type(type_cell) is str else _parse_pub_type(type_cell)
             if type(title_cell) is not str:
@@ -450,27 +469,27 @@ def load_budgets(stream: TextIO) -> tuple[dict[str, float], list[RowRejection]]:
     first record.
     """
     budgets: dict[str, float] = {}
-    first_rows: dict[str, int] = {}
+    first_rows: dict[str, tuple[int, list[str]]] = {}
     rejections: list[RowRejection] = []
     for line_num, (code_cell, amount_cell), cells in _csv_rows(stream, ("award_code", "budget_eur"), "budget"):
         try:
             code = normalize_award_code(code_cell)
         except AwardCodeError as exc:
-            rejections.append(RowRejection(line_num, f"award code {exc.reason}", ",".join(cells)))
+            rejections.append(_csv_rejection(line_num, f"award code {exc.reason}", cells))
             continue
         try:
             amount = _number(float, amount_cell.strip())
         except ValueError:
-            rejections.append(RowRejection(line_num, "budget_eur is not a number", ",".join(cells)))
+            rejections.append(_csv_rejection(line_num, "budget_eur is not a number", cells))
             continue
         if not math.isfinite(amount) or amount < 0:
             reason = "budget_eur must be a finite non-negative amount"
-            rejections.append(RowRejection(line_num, reason, ",".join(cells)))
+            rejections.append(_csv_rejection(line_num, reason, cells))
             continue
-        first = first_rows.setdefault(code, line_num)
-        if first != line_num:
-            reason = f"award code {code} repeats row {first}; the first amount is kept"
-            rejections.append(RowRejection(line_num, reason, ",".join(cells)))
+        first = first_rows.setdefault(code, (line_num, cells))
+        if first[0] != line_num:
+            reason = f"award code {code} repeats row {_first_line(*first)}; the first amount is kept"
+            rejections.append(_csv_rejection(line_num, reason, cells))
             continue
         budgets[code] = amount
     return budgets, rejections

@@ -208,6 +208,18 @@ def test_a_rejected_crlf_jsonl_line_is_written_without_its_line_end(tmp_path, ca
     assert rejections.decode("utf-8").splitlines() == ["row 1: not valid JSON: Expecting ',' delimiter | [1, 2"]
 
 
+def test_a_rejected_csv_row_holding_a_line_break_is_one_line_numbered_by_its_first(tmp_path, capsys):
+    # three lines: the header, then one row whose quoted title breaks across lines 2 and 3
+    path = tmp_path / "pubs.csv"
+    path.write_bytes(b'award_code,year,pub_type,fwci,citations,title,source_id\n12/IB/1234,2018,article,1.0,1,"two\nlines",W1\n')
+    out = tmp_path / "out"
+    assert cli.main(["ingest", "--input", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (out / "rejections.txt").read_text(encoding="utf-8").splitlines() == [
+        'row 2: award code does not match YY/IA/XXXX | 12/IB/1234,2018,article,1.0,1,"two\\nlines",W1'
+    ]
+
+
 def test_budgets_summing_past_the_largest_float_are_a_data_error(corpus_path, tmp_path, capsys):
     budgets = tmp_path / "budgets.csv"
     write_csv(budgets, ["award_code", "budget_eur"], [["11/IA/2000", "1e308"], ["12/IA/2001", "1e308"]])

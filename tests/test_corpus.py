@@ -351,11 +351,23 @@ def _ref_rows(stream, fmt):
     reader = csv.reader(stream)
     cols = [c.strip().lower() for c in next(reader)]
     index = {name: cols.index(name) for name in corpus.CSV_COLUMNS}
-    for cells in reader:
+    # every line belongs to a row, a blank line to an empty one, so a row starts on the line after the last row's
+    while True:
+        first = reader.line_num + 1
+        cells = next(reader, None)
+        if cells is None:
+            return
         if not cells or all(c.strip() == "" for c in cells):
             continue
         fields = {name: (cells[i] if i < len(cells) else "") for name, i in index.items()}
-        yield reader.line_num, fields, ",".join(cells)
+        yield first, fields, _ref_one_line(cells)
+
+
+def _ref_one_line(cells):
+    """The cells as csv.writer quotes them (CR and LF force quotes with a CRLF terminator), CR and LF then escaped."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2].replace("\r", "\\r").replace("\n", "\\n")
 
 
 def reference_parse(text, fmt):
@@ -739,6 +751,17 @@ def test_budget_amounts_are_read_like_record_numbers():
     budgets, rejections = corpus.load_budgets(io.StringIO(text))
     assert budgets == {"12/IA/1572": 2500.0}
     assert [(r.row, r.reason) for r in rejections] == [(2, "budget_eur is not a number"), (3, "budget_eur is not a number")]
+
+
+def test_a_rejected_budget_row_with_line_breaks_gives_its_first_line_on_one_line():
+    # row 2 spans lines 2-3 and is accepted; rows 4-6 (CRLF inside a cell counts once) and 7-8 are rejected
+    text = 'award_code,budget_eur,note\r\n08/IA/1234,"100\n",a\r\n12/IA/1571,"-1","x\r\ny\rz"\r\n08/IA/1234,"7","b\nc"\r\n'
+    budgets, rejections = corpus.load_budgets(io.StringIO(text, newline=""))
+    assert budgets == {"08/IA/1234": 100.0}
+    assert [(r.row, r.reason, r.raw) for r in rejections] == [
+        (4, "budget_eur must be a finite non-negative amount", '12/IA/1571,-1,"x\\r\\ny\\rz"'),
+        (7, "award code 08/IA/1234 repeats row 2; the first amount is kept", '08/IA/1234,7,"b\\nc"'),
+    ]
 
 
 def test_load_budgets_missing_column():

@@ -1,6 +1,8 @@
 import concurrent.futures
 import functools
+import json
 import math
+import os
 import threading
 
 import numpy as np
@@ -24,6 +26,7 @@ from fwcibench.simulate import (
 SEED = 1
 REPS = 100_000
 SIGMAS = (1.0, 1.3, 1.8)
+REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "reference_thresholds.json")
 
 
 def summary(code="12/IA/1234", n=1, mean=1.0):
@@ -38,6 +41,22 @@ def medians(n_values, sigma_sq, reps, seed):
 def thresholds_at(n, sigmas, reps, seed):
     """The sigma_sq -> simulated median map that benchmark_award takes, for n papers."""
     return {s: medians([n], s, reps, seed)[n] for s in sigmas}
+
+
+def block_sizes(reps):
+    """The number of reps in each block, as median_curve splits them."""
+    n_blocks = -(-reps // simulate._BLOCK)
+    return [(b + 1) * reps // n_blocks - b * reps // n_blocks for b in range(n_blocks)]
+
+
+def normal_bounds(sizes):
+    """Where each block's ceil(m / 2) normals start in one array of all blocks' normals, and where the last ends."""
+    return np.cumsum([0] + [-(-m // 2) for m in sizes])
+
+
+def mirrored(z, m):
+    """A block's m normals from the ceil(m / 2) drawn for it (last axis): z, then -z of the first floor(m / 2)."""
+    return np.concatenate([z, -z[..., : m // 2]], axis=-1)
 
 
 # --- BaselineField ---
@@ -129,73 +148,127 @@ def test_medians_depend_only_on_their_prefix_of_the_stream():
 
 
 def test_medians_stream_layout_is_pinned():
-    # Recorded when the block layout was introduced: one stream per (seed,
-    # block of reps), paper j drawn for the block's reps at once and shared
-    # by every baseline.
+    # Recorded when the mirrored layout was introduced: one stream per (seed,
+    # block of reps), paper j's ceil(m / 2) normals drawn for the block at
+    # once, its last floor(m / 2) reps taking the first normals negated, and
+    # shared by every baseline.
     got = {n: v.hex() for n, v in medians([1, 7, 46], 1.3, 5000, 9).items()}
-    assert got == {1: "0x1.1159c558e4cd9p-1", 7: "0x1.b9db870176115p-1", 46: "0x1.f1de71d314c2dp-1"}
+    assert got == {1: "0x1.0b499c3acda58p-1", 7: "0x1.b920f0f6beb60p-1", 46: "0x1.f19e1a8dfd9b1p-1"}
 
 
 def test_medians_equal_median_of_direct_means():
     # the running sum reproduces the means of each rep's first n draws, with
-    # the reps split into two blocks of 16,384 and 16,385, each with its own stream
+    # the reps split into two blocks of 16,384 and 16,385, each with its own
+    # stream drawing 8,192 and 8,193 normals per paper
     reps, seed, sigma_sq = 2**15 + 1, 4, 1.3
     params = BaselineField(sigma_sq).params
     streams = [np.random.default_rng(np.random.SeedSequence([seed, b])) for b in (0, 1)]
-    z = np.hstack([rng.standard_normal((6, size)) for rng, size in zip(streams, (16_384, 16_385))])
+    z = np.hstack([mirrored(rng.standard_normal((6, -(-size // 2))), size) for rng, size in zip(streams, (16_384, 16_385))])
     draws = np.exp(params.mu + params.sigma * z)
     got = medians([2, 6], sigma_sq, reps, seed)
     for n in (2, 6):
         assert got[n] == pytest.approx(float(np.median(draws[:n].mean(axis=0))), rel=1e-14)
 
 
-def fed_median(monkeypatch, z, sigma_sq=1.0):
-    """medians' one-paper median over len(z) reps whose paper draws the normals z, block by block."""
-    n_blocks = -(-len(z) // simulate._BLOCK)
+def fed_median(monkeypatch, z, reps, sigma_sq=1.0):
+    """medians' one-paper median over reps whose paper draws the normals z, block by block: ceil(m / 2) for a block of m."""
+    starts = normal_bounds(block_sizes(reps))
 
     class FedStream:
         def __init__(self, seed, block):
-            self.rows = slice(block * len(z) // n_blocks, (block + 1) * len(z) // n_blocks)
+            self.rows = slice(starts[block], starts[block + 1])
 
         def standard_normal(self, out):
             out[:] = z[self.rows]
 
     monkeypatch.setattr(simulate, "_stream", FedStream)
-    return medians([1], sigma_sq, len(z), 0)[1]
+    return medians([1], sigma_sq, reps, 0)[1]
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 2**15, 2**15 + 1])
 def test_median_read_is_np_median_to_the_bit(monkeypatch, size):
-    # One paper: each rep's running sum is e^(mu + sigma z) of the normal fed to it.
+    # One paper: each rep's running sum is e^(mu + sigma z) of the normal fed
+    # to it, or e^(mu - sigma z) of its mirror's; an inf normal makes one inf
+    # sum and one 0.
+    sizes = block_sizes(size)
+    starts = normal_bounds(sizes)
+    k = starts[-1]
     rng = np.random.default_rng(size)
-    params = BaselineField(1.0).params
-    upper_half_inf = np.where(np.arange(size) < size // 2, rng.standard_normal(size), np.inf)
+    half_inf = np.where(np.arange(k) < k // 2, rng.standard_normal(k), np.inf)
     cases = {
-        "normal": rng.standard_normal(size),
-        "ties": rng.integers(-1, 2, size).astype(float),
-        "some inf": np.where(rng.random(size) < 0.3, np.inf, rng.standard_normal(size)),
-        "upper half inf": rng.permutation(upper_half_inf),
-        "all inf": np.full(size, np.inf),
-        # every sum is the subnormal 3 * 2**-1074: (a + b) / 2 keeps it, a / 2 + b / 2 rounds to 4 units
-        "subnormal ties": np.full(size, -742.8),
+        "normal": (rng.standard_normal(k), 1.0),
+        "ties": (rng.integers(-1, 2, k).astype(float), 1.0),
+        "some inf": (np.where(rng.random(k) < 0.3, np.inf, rng.standard_normal(k)), 1.0),
+        "half inf": (rng.permutation(half_inf), 1.0),
+        "all inf": (np.full(k, np.inf), 1.0),
+        # mu = -743.3: every sum is the subnormal 3 * 2**-1074, (a + b) / 2 keeps it, a / 2 + b / 2 rounds to 4 units
+        "subnormal ties": (np.zeros(k), 1486.6),
     }
-    for name, z in cases.items():
-        expected = float(np.median(np.exp(z * params.sigma + params.mu)))
-        assert fed_median(monkeypatch, z).hex() == expected.hex(), name
+    for name, (z, sigma_sq) in cases.items():
+        params = BaselineField(sigma_sq).params
+        full = np.hstack([mirrored(z[a:b], m) for a, b, m in zip(starts, starts[1:], sizes)])
+        expected = float(np.median(np.exp(full * params.sigma + params.mu)))
+        assert fed_median(monkeypatch, z, size, sigma_sq).hex() == expected.hex(), name
 
 
 @pytest.mark.parametrize("reps", [4000, 4001, 2**15 + 1])
 def test_median_read_of_running_sums_is_np_median_to_the_bit(reps):
-    # the running sums rebuilt from each block's stream, adding paper by paper as the kernel does
+    # the running sums rebuilt from each block's stream, mirrored and added paper by paper as the kernel does
     seed, sigma_sq = 4, 1.3
     params = BaselineField(sigma_sq).params
-    n_blocks = -(-reps // simulate._BLOCK)
-    sizes = [(b + 1) * reps // n_blocks - b * reps // n_blocks for b in range(n_blocks)]
-    streams = [np.random.default_rng(np.random.SeedSequence([seed, b])) for b in range(n_blocks)]
-    z = np.hstack([[rng.standard_normal(size) for _ in range(46)] for rng, size in zip(streams, sizes)])
+    sizes = block_sizes(reps)
+    streams = [np.random.default_rng(np.random.SeedSequence([seed, b])) for b in range(len(sizes))]
+    z = np.hstack([[mirrored(rng.standard_normal(-(-size // 2)), size) for _ in range(46)] for rng, size in zip(streams, sizes)])
     totals = np.cumsum(np.exp(z * params.sigma + params.mu), axis=0)
     got = medians([1, 5, 46], sigma_sq, reps, seed)
     assert {n: v.hex() for n, v in got.items()} == {n: (float(np.median(totals[n - 1])) / n).hex() for n in (1, 5, 46)}
+
+
+@pytest.mark.parametrize("reps", [1, 2, 7, 2**15, 2**15 + 1, 2**16 + 1])
+def test_each_block_draws_ceil_half_its_reps_in_normals_per_paper(monkeypatch, reps):
+    sizes_drawn = {}
+    real_stream = simulate._stream
+
+    class RecordingStream:
+        def __init__(self, seed, block):
+            self.block, self.rng = block, real_stream(seed, block)
+            sizes_drawn[block] = []
+
+        def standard_normal(self, out):
+            sizes_drawn[self.block].append(len(out))
+            return self.rng.standard_normal(out=out)
+
+    monkeypatch.setattr(simulate, "_stream", RecordingStream)
+    medians([1, 3], 1.3, reps, SEED)
+    assert sizes_drawn == {b: [-(-m // 2)] * 3 for b, m in enumerate(block_sizes(reps))}
+
+
+def test_single_paper_median_is_e_to_the_mu_when_every_block_is_even():
+    # Four blocks of 25,000: each block's sums below e^mu mirror those above,
+    # so the two central sums are e^(mu -/+ sigma a) for the smallest |z| = a
+    # of the 50,000 normals, and their mean is e^mu cosh(sigma a).
+    assert block_sizes(REPS) == [25_000] * 4
+    for p in median_curve([1], [BaselineField(s) for s in SIGMAS], REPS, SEED):
+        assert p.median_mean == pytest.approx(math.exp(BaselineField(p.sigma_sq).params.mu), rel=1e-9)
+
+
+def test_medians_lie_within_4_standard_errors_of_the_reference_table():
+    # The reference holds 400,000-rep medians drawn independently, with the
+    # density f of award means at each; the i.i.d. standard error of the
+    # difference is sqrt(1/reps + 1/400,000) / (2 f). Mirrored reps are no
+    # noisier than i.i.d. ones.
+    with open(REFERENCE, encoding="utf-8") as fh:
+        ref = json.load(fh)
+    reps = 20_000
+    n_values = sorted({int(n) for table in ref["table"].values() for n in table})
+    points = median_curve(n_values, [BaselineField(float(s)) for s in ref["table"]], reps, SEED)
+    z_scores = []
+    for p in points:
+        median, density = ref["table"][repr(p.sigma_sq)][str(p.n)]
+        se = math.sqrt(1 / reps + 1 / ref["reps"]) / (2 * density)
+        z_scores.append(abs(p.median_mean - median) / se)
+    assert len(z_scores) == 453
+    assert max(z_scores) < 4
 
 
 def test_median_that_underflows_is_an_error():
