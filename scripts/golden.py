@@ -15,33 +15,35 @@ lines have no such partner, and exits 1 if any differ. Either form exits 2
 if a command fails.
 
 The portfolio is ``perfbench/generate.py``'s at a fixed seed. The run covers
-``ingest`` with budgets, ``ingest`` with budgets on the same seed's portfolio
-scaled 60x (~190k rows, enough repeated codes, rejections and duplicates to
-exercise the parser at volume), ``ingest`` on a small table written here as
-CSV and as JSONL, whose titles and source ids hold a comma, a quote, LF, CR
-and CRLF, with one blank and one short row and two rejected rows, one of
-them with an LF in its title (the writer's quoting, both parsers and the
-one-line rejections), ``fit`` at the default flags, ``fit`` with
-non-default ``--low-cut``, ``--range`` and ``--bins``, ``fit`` with no low
-cut, ``fit`` on the tail window ``--range 1:8``, which leaves out the mode
-e^mu so that mu lies outside every bin, ``fit`` at ``--bins 2:30``, whose
-counts 2 and 3 always fail, so that one block of fits mixes failed and
-converged ones, ``benchmark``, ``benchmark`` with
-five unsorted ``--sigma2`` values, ``curve``, ``curve`` with the same five
-values and an unsorted ``--n-list``, ``curve`` at 70,000 reps, and ``curve``
-at 4,001 reps, each in its own subdirectory of OUT_DIR. So that the whole run
-takes seconds, each ``fit`` gets ``--fits 300`` and each ``benchmark`` and
-``curve`` ``--reps 4000`` unless it names its own. The ``curve`` runs pass
-``--input`` too: ``curve`` accepts it unread, and an older tree that
-``--against`` may run requires it. The Monte Carlo splits
+``ingest`` with budgets and ``--low-cut 0.5``, ``ingest`` with budgets at
+the default low cut on the same seed's portfolio scaled 60x (~190k rows,
+enough repeated codes, rejections and duplicates to exercise the parser at
+volume), ``ingest`` on a small table written here as CSV and as JSONL, whose
+titles and source ids hold a comma, a quote, LF, CR and CRLF, with one blank
+and one short row and two rejected rows, one of them with an LF in its title
+(the writer's quoting, both parsers and the one-line rejections), ``fit`` at
+the default flags, ``fit`` with non-default ``--low-cut``, ``--range`` and
+``--bins``, ``fit`` with no low cut, ``fit`` on the tail window
+``--range 1:8``, which leaves out the mode e^mu so that mu lies outside
+every bin, ``fit`` at ``--bins 2:30``, whose counts 2 and 3 always fail, so
+that one block of fits mixes failed and converged ones, ``benchmark``,
+``benchmark`` with five unsorted ``--sigma2`` values and ``--seed 7``,
+``curve``, ``curve`` with the same five values, an unsorted ``--n-list`` and
+``--seed 7``, ``curve`` at 70,000 reps, and ``curve`` at 4,001 reps, each in
+its own subdirectory of OUT_DIR. Every flag a command reads is thus off its
+default in at least one of its runs, which ``tests/test_golden.py`` checks.
+So that the whole run takes seconds, each ``fit`` gets ``--fits 300`` and
+each ``benchmark`` and ``curve`` ``--reps 4000`` unless it names its own.
+The ``curve`` runs pass ``--input`` too: ``curve`` accepts it unread, and an
+older tree that ``--against`` may run requires it. The Monte Carlo splits
 its reps into blocks of at most 2**15, each with its own stream and one task
-per block on a thread pool: the other runs' 4,000 reps are one block, and the
-70,000-rep curve is three. A block of m reps draws ceil(m / 2) normals per
-paper, and its last floor(m / 2) reps take the first normals negated. A
+per block on a thread pool: the other runs' 4,000 reps are one block, and
+the 70,000-rep curve is three. A block of m reps draws ceil(m / 2) normals
+per paper, and its last floor(m / 2) reps take the first normals negated. A
 median of an even number of reps averages the two central values and one of
 an odd number takes the central one, so the 4,001-rep curve covers the odd
-case, and its one block's middle rep has no mirror. Each command's stdout is kept as
-``stdout.txt`` beside its output files.
+case, and its one block's middle rep has no mirror. Each command's stdout is
+kept as ``stdout.txt`` beside its output files.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ def write_quoted_input(input_dir: str) -> None:
 def runs(input_dir: str, input_60x_dir: str, input_quoted_dir: str) -> dict[str, list[str]]:
     pubs = ["--input", os.path.join(input_dir, "pubs.csv")]
     return {
-        "ingest": ["ingest", *pubs, "--budgets", os.path.join(input_dir, "budgets.csv")],
+        "ingest": ["ingest", *pubs, "--budgets", os.path.join(input_dir, "budgets.csv"), "--low-cut", "0.5"],
         "ingest-60x": [
             "ingest",
             "--input",
@@ -110,9 +112,9 @@ def runs(input_dir: str, input_60x_dir: str, input_quoted_dir: str) -> dict[str,
         "fit-tail": ["fit", *pubs, *FITS, "--range", "1:8"],
         "fit-failures": ["fit", *pubs, *FITS, "--bins", "2:30"],
         "benchmark": ["benchmark", *pubs, *REPS],
-        "benchmark-5-sigma2": ["benchmark", *pubs, *REPS, "--sigma2", "1.8,0.5,1.3,2.2,1.0"],
+        "benchmark-5-sigma2": ["benchmark", *pubs, *REPS, "--sigma2", "1.8,0.5,1.3,2.2,1.0", "--seed", "7"],
         "curve": ["curve", *pubs, *REPS, "--n-list", "1,5,10,46,100,400"],
-        "curve-5-sigma2": ["curve", *pubs, *REPS, "--n-list", "400,1,46,5", "--sigma2", "1.8,0.5,1.3,2.2,1.0"],
+        "curve-5-sigma2": ["curve", *pubs, *REPS, "--n-list", "400,1,46,5", "--sigma2", "1.8,0.5,1.3,2.2,1.0", "--seed", "7"],
         "curve-blocks": ["curve", *pubs, "--reps", "70000", "--n-list", "1,5"],
         "curve-odd-reps": ["curve", *pubs, "--reps", "4001", "--n-list", "1,5,46"],
     }

@@ -413,28 +413,29 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         print("warning: no awards in input", file=sys.stderr)
         return EXIT_OK
 
-    aggregates = simulate.aggregate_benchmarks(benchmarks)
-    report = [f"awards = {len(benchmarks)}"]
-    for agg in aggregates:
-        combined = agg.n_mean_ge_1 + agg.n_small_sample_pass
+    # Counts per sigma2, ascending; a small-sample pass is above its median with a plain mean below 1.
+    n_awards = len(benchmarks)
+    n_mean_ge_1 = sum(b.observed_mean >= 1.0 for b in benchmarks)
+    report, summary, above_counts = [f"awards = {n_awards}"], [], []
+    for s in sorted(sigma2):
+        above = [b.observed_mean for b in benchmarks if b.verdicts[s] == simulate.VERDICT_ABOVE]
+        n_pass = sum(mean < 1.0 for mean in above)
+        fraction = len(above) / n_awards
         report += [
-            f"sigma2 = {agg.sigma_sq!r}:",
-            f"  above_median = {agg.n_above}",
-            f"  below_median = {agg.n_below}",
-            f"  fraction_above = {agg.fraction_above!r}",
-            f"  mean_ge_1 = {agg.n_mean_ge_1}",
-            f"  small_sample_pass = {agg.n_small_sample_pass} (above median with mean < 1)",
-            f"  mean_ge_1_plus_small_sample_pass = {combined}",
+            f"sigma2 = {s!r}:",
+            f"  above_median = {len(above)}",
+            f"  below_median = {n_awards - len(above)}",
+            f"  fraction_above = {fraction!r}",
+            f"  mean_ge_1 = {n_mean_ge_1}",
+            f"  small_sample_pass = {n_pass} (above median with mean < 1)",
+            f"  mean_ge_1_plus_small_sample_pass = {n_mean_ge_1 + n_pass}",
         ]
-    above_counts = [agg.n_above for agg in aggregates]
+        summary.append(f"sigma2 {s!r}: {len(above)}/{n_awards} above median (fraction {fraction!r})")
+        above_counts.append(len(above))
     report.append(f"above_median across sigma2: {min(above_counts)} to {max(above_counts)}")
     _write_report(args, "benchmark_report.txt", "benchmark report", report)
 
-    for agg in aggregates:
-        print(
-            f"sigma2 {agg.sigma_sq!r}: {agg.n_above}/{agg.n_total} above median "
-            f"(fraction {agg.fraction_above!r})"
-        )
+    print("\n".join(summary))
     return EXIT_OK
 
 

@@ -85,27 +85,6 @@ class AwardBenchmark:
     thresholds: dict[float, float]
 
 
-@dataclass(frozen=True)
-class SigmaAggregate:
-    """Portfolio counts against one baseline spread.
-
-    n_small_sample_pass counts awards above the simulated median whose plain
-    mean is below 1, i.e. awards that pass only once the small-n bias of the
-    mean is accounted for.
-    """
-
-    sigma_sq: float
-    n_total: int
-    n_above: int
-    n_below: int
-    n_mean_ge_1: int
-    n_small_sample_pass: int
-
-    @property
-    def fraction_above(self) -> float:
-        return self.n_above / self.n_total
-
-
 def _stream(seed: int, block: int) -> np.random.Generator:
     """The generator stream of one block of reps."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(block)]))
@@ -203,38 +182,3 @@ def benchmark_award(summary: AwardSummary, thresholds: dict[float, float]) -> Aw
         verdicts=verdicts,
         thresholds=thresholds,
     )
-
-
-def aggregate_benchmarks(benchmarks) -> tuple[SigmaAggregate, ...]:
-    """Portfolio counts per baseline spread, sorted by sigma_sq.
-
-    Requires every benchmark to carry verdicts for the same sigma_sq set.
-    Empty input aggregates to an empty tuple.
-    """
-    bench_list = list(benchmarks)
-    if not bench_list:
-        return ()
-    sigma_set = set(bench_list[0].verdicts)
-    for b in bench_list[1:]:
-        if set(b.verdicts) != sigma_set:
-            raise ValueError("benchmarks carry inconsistent sigma_sq sets")
-    n_mean_ge_1 = sum(1 for b in bench_list if b.observed_mean >= 1.0)
-    out = []
-    for sigma_sq in sorted(sigma_set):
-        n_above = sum(1 for b in bench_list if b.verdicts[sigma_sq] == VERDICT_ABOVE)
-        n_pass = sum(
-            1
-            for b in bench_list
-            if b.verdicts[sigma_sq] == VERDICT_ABOVE and b.observed_mean < 1.0
-        )
-        out.append(
-            SigmaAggregate(
-                sigma_sq=sigma_sq,
-                n_total=len(bench_list),
-                n_above=n_above,
-                n_below=len(bench_list) - n_above,
-                n_mean_ge_1=n_mean_ge_1,
-                n_small_sample_pass=n_pass,
-            )
-        )
-    return tuple(out)

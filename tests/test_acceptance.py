@@ -34,7 +34,6 @@ from fwcibench.lognormal import (
 from fwcibench.simulate import (
     VERDICT_ABOVE,
     BaselineField,
-    aggregate_benchmarks,
     benchmark_award,
     median_curve,
 )
@@ -227,13 +226,12 @@ def test_c09_null_portfolio_calibration(lognormal_sampler):
         )
     thresholds = medians(sorted({s.n_papers for s in summaries}), baseline.sigma_sq, 20_000, 7)
     benchmarks = [benchmark_award(s, {baseline.sigma_sq: thresholds[s.n_papers]}) for s in summaries]
-    (agg,) = aggregate_benchmarks(benchmarks)
-    fraction = agg.fraction_above
+    n_above = sum(b.verdicts[baseline.sigma_sq] == VERDICT_ABOVE for b in benchmarks)
+    fraction = n_above / len(benchmarks)
     # two binomial standard deviations at 148 trials is 2*sqrt(.25/148) = 0.082
     assert abs(fraction - 0.5) <= 0.09, (
-        f"fraction above {fraction!r} ({agg.n_above}/{agg.n_total}) outside 0.50 +/- 0.09"
+        f"fraction above {fraction!r} ({n_above}/{len(benchmarks)}) outside 0.50 +/- 0.09"
     )
-    assert agg.n_above + agg.n_below == 148
 
 
 def test_c10_portfolio_cost_per_paper():

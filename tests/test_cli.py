@@ -641,26 +641,71 @@ def read_benchmark_rows(out):
         return list(csv.DictReader(fh))
 
 
+def report_blocks(report):
+    """Each ``sigma2 = s:`` block of a benchmark report, in report order: s -> {key: first word of its value}."""
+    blocks, block = {}, None
+    for line in report.splitlines():
+        if line.startswith("sigma2 = "):
+            block = blocks[line.removeprefix("sigma2 = ").rstrip(":")] = {}
+        elif line.startswith("  ") and block is not None:
+            key, value = line.strip().split(" = ")
+            block[key] = value.split()[0]
+        else:
+            block = None
+    return blocks
+
+
+def spread_corpus(tmp_path):
+    """Six two-paper awards whose means straddle the n = 2 medians (about 0.73, 0.66 and 0.55 at sigma2 1.0, 1.3, 1.8)."""
+    path = tmp_path / "spread.csv"
+    means = (0.5, 0.6, 0.7, 0.8, 1.0, 1.2)
+    rows = [[f"11/IA/{3000 + i}", 2019, "article", repr(m), 1, f"t{i}.{j}", f"W{i}.{j}"] for i, m in enumerate(means) for j in range(2)]
+    write_csv(path, list(CSV_COLUMNS), rows)
+    return path
+
+
 def test_benchmark_verdicts_match_thresholds(corpus_path, tmp_path, capsys):
-    out = tmp_path / "out"
-    code = cli.main(
-        ["benchmark", "--input", str(corpus_path), "--out", str(out), "--reps", "2000", "--seed", "7"]
-    )
-    assert code == 0
-    rows = read_benchmark_rows(out)
-    assert len(rows) == 20
-    for row in rows:
-        mean = float(row["observed_mean"])
+    for path, n_awards in ((corpus_path, 20), (spread_corpus(tmp_path), 6)):
+        out = tmp_path / path.stem
+        code = cli.main(
+            ["benchmark", "--input", str(path), "--out", str(out), "--reps", "2000", "--seed", "7",
+             "--sigma2", "1.8,1.0,1.3"]
+        )
+        assert code == 0
+        rows = read_benchmark_rows(out)
+        assert len(rows) == n_awards
+        for row in rows:
+            mean = float(row["observed_mean"])
+            for s in ("1.0", "1.3", "1.8"):
+                verdict = row[f"verdict_{s}"]
+                assert verdict in ("above_median", "below_median")
+                expected = "above_median" if mean >= float(row[f"threshold_{s}"]) else "below_median"
+                assert verdict == expected
+
+        # every count the report and stdout print, recounted from benchmark.csv, in ascending sigma2
+        n_mean_ge_1 = sum(float(row["observed_mean"]) >= 1 for row in rows)
+        counts, stdout = {}, []
         for s in ("1.0", "1.3", "1.8"):
-            verdict = row[f"verdict_{s}"]
-            assert verdict in ("above_median", "below_median")
-            expected = "above_median" if mean >= float(row[f"threshold_{s}"]) else "below_median"
-            assert verdict == expected
-    report = (out / "benchmark_report.txt").read_text(encoding="utf-8")
-    assert "fraction_above" in report
-    assert "mean_ge_1_plus_small_sample_pass" in report
-    assert "above_median across sigma2:" in report
-    assert "above median" in capsys.readouterr().out
+            above = [float(row["observed_mean"]) for row in rows if row[f"verdict_{s}"] == "above_median"]
+            n_pass = sum(mean < 1 for mean in above)
+            counts[s] = {
+                "above_median": str(len(above)),
+                "below_median": str(len(rows) - len(above)),
+                "fraction_above": repr(len(above) / len(rows)),
+                "mean_ge_1": str(n_mean_ge_1),
+                "small_sample_pass": str(n_pass),
+                "mean_ge_1_plus_small_sample_pass": str(n_mean_ge_1 + n_pass),
+            }
+            stdout.append(f"sigma2 {s}: {len(above)}/{len(rows)} above median (fraction {len(above) / len(rows)!r})")
+        report = (out / "benchmark_report.txt").read_text(encoding="utf-8")
+        blocks = report_blocks(report)
+        assert list(blocks) == ["1.0", "1.3", "1.8"]
+        assert blocks == counts
+        above_counts = [int(c["above_median"]) for c in counts.values()]
+        assert f"\nabove_median across sigma2: {min(above_counts)} to {max(above_counts)}\n" in report
+        assert capsys.readouterr().out == "\n".join(stdout) + "\n"
+    # the spread portfolio's counts differ from sigma2 to sigma2, and some awards pass on the correction alone
+    assert len(set(above_counts)) == 3 and all(c["small_sample_pass"] != "0" for c in counts.values())
 
 
 def test_benchmark_empty_corpus_warns(tmp_path, capsys):
@@ -686,6 +731,9 @@ def test_benchmark_single_low_mean_award(tmp_path):
     assert row["verdict_1.0"] == "below_median"
     assert row["verdict_1.3"] == "above_median"
     assert row["verdict_1.8"] == "above_median"
+    # so it passes at 1.3 and 1.8 only once the small-n bias of its mean is allowed for
+    blocks = report_blocks((out / "benchmark_report.txt").read_text(encoding="utf-8"))
+    assert [(b["small_sample_pass"], b["mean_ge_1"]) for b in blocks.values()] == [("0", "0"), ("1", "0"), ("1", "0")]
 
 
 def test_benchmark_high_portfolio_all_above(tmp_path):

@@ -15,10 +15,8 @@ from fwcibench.lognormal import LognormalParams, NumericalError, derived_stats
 from fwcibench.simulate import (
     VERDICT_ABOVE,
     VERDICT_BELOW,
-    AwardBenchmark,
     BaselineField,
     MedianCurvePoint,
-    aggregate_benchmarks,
     benchmark_award,
     median_curve,
 )
@@ -478,46 +476,3 @@ def test_benchmark_requires_papers_and_mean():
         benchmark_award(AwardSummary(award_code="12/IA/1234", n_papers=0), thresholds_at(1, [1.0], 10, 1))
     with pytest.raises(ValueError):
         benchmark_award(AwardSummary(award_code="12/IA/1234", n_papers=3, mean_fwci=None), thresholds_at(3, [1.0], 10, 1))
-
-
-# --- aggregate_benchmarks ---
-
-
-def bench_of(code, mean, verdicts):
-    return AwardBenchmark(
-        award_code=code,
-        n_papers=2,
-        observed_mean=mean,
-        verdicts={s: v for s, v in verdicts.items()},
-        thresholds={s: 0.5 for s in verdicts},
-    )
-
-
-def test_aggregate_counts():
-    benches = [
-        bench_of("11/IA/0001", 1.4, {1.0: VERDICT_ABOVE, 1.3: VERDICT_ABOVE}),
-        bench_of("11/IA/0002", 0.8, {1.0: VERDICT_BELOW, 1.3: VERDICT_ABOVE}),
-        bench_of("11/IA/0003", 0.2, {1.0: VERDICT_BELOW, 1.3: VERDICT_BELOW}),
-    ]
-    aggs = aggregate_benchmarks(benches)
-    assert [a.sigma_sq for a in aggs] == [1.0, 1.3]
-    first, second = aggs
-    assert (first.n_above, first.n_below) == (1, 2)
-    assert (second.n_above, second.n_below) == (2, 1)
-    assert first.n_mean_ge_1 == 1 and second.n_mean_ge_1 == 1
-    assert first.n_small_sample_pass == 0
-    assert second.n_small_sample_pass == 1  # 0.8-mean award passes only via simulation
-    assert second.fraction_above == pytest.approx(2 / 3)
-
-
-def test_aggregate_empty():
-    assert aggregate_benchmarks([]) == ()
-
-
-def test_aggregate_rejects_mixed_sigma_sets():
-    benches = [
-        bench_of("11/IA/0001", 1.0, {1.0: VERDICT_ABOVE}),
-        bench_of("11/IA/0002", 1.0, {1.3: VERDICT_ABOVE}),
-    ]
-    with pytest.raises(ValueError):
-        aggregate_benchmarks(benches)
