@@ -12,7 +12,7 @@ the reports echo their input and output paths. It prints only the files
 whose hashes differ, each with the largest relative difference between the
 numbers of its lines that read alike apart from their numbers, and how many
 lines have no such partner, and exits 1 if any differ. Either form exits 2
-if a command fails.
+if a run fails (see below).
 
 The portfolio is ``perfbench/generate.py``'s at a fixed seed. The run covers
 ``ingest`` with budgets and ``--low-cut 0.5``, ``ingest`` with budgets at
@@ -30,7 +30,11 @@ that one block of fits mixes failed and converged ones, ``benchmark``,
 ``benchmark`` with five unsorted ``--sigma2`` values and ``--seed 7``,
 ``curve``, ``curve`` with the same five values, an unsorted ``--n-list`` and
 ``--seed 7``, ``curve`` at 70,000 reps, and ``curve`` at 4,001 reps, each in
-its own subdirectory of OUT_DIR. Every flag a command reads is thus off its
+its own subdirectory of OUT_DIR. Three more runs are ones ``fit`` must
+refuse: a narrow table written here, whose 12 values lie within 0.0003 of
+each other, so no bin count puts them in 4 non-empty bins; ``--bins 1:4
+--fits 1 --seed 1``, whose one drawn count is 2; and ``--range 1:1.001``,
+which holds fewer than 8 values. Every flag a command reads is thus off its
 default in at least one of its runs, which ``tests/test_golden.py`` checks.
 So that the whole run takes seconds, each ``fit`` gets ``--fits 300`` and
 each ``benchmark`` and ``curve`` ``--reps 4000`` unless it names its own.
@@ -43,7 +47,10 @@ per paper, and its last floor(m / 2) reps take the first normals negated. A
 median of an even number of reps averages the two central values and one of
 an odd number takes the central one, so the 4,001-rep curve covers the odd
 case, and its one block's middle rep has no mirror. Each command's stdout is
-kept as ``stdout.txt`` beside its output files.
+kept as ``stdout.txt`` beside its output files, and a refused run's exit code
+and stderr as ``exit.txt`` and ``stderr.txt``, so that an error path cannot
+change unseen. A run that is not among the refused ones must exit 0, and a
+``Traceback`` in any run's stderr fails the oracle too.
 """
 
 from __future__ import annotations
@@ -82,11 +89,17 @@ QUOTED_ROWS = [
     ["12/IB/1234", "2018", "article", "1.0", "1", "Bad code, quoted title", "W7"],
     ["12/IB/1235", "2019", "article", "1.0", "1", "Bad code,\nbroken title", "W8"],
 ]
+# The narrow table: four distinct values within 0.0003 of each other, three times each.
+NARROW_ROWS = [["12/IA/1570", "2019", "article", f"1.000{k % 4}", "1", "t", f"N{k}"] for k in range(12)]
+# The runs fit must refuse; each keeps its exit code and stderr.
+REFUSED = {"fit-refused-narrow", "fit-refused-bins", "fit-refused-too-few"}
 
 
-def write_quoted_input(input_dir: str) -> None:
-    """Write the quoted-cells table as ``pubs.csv`` and ``pubs.jsonl`` in ``input_dir``."""
+def write_small_inputs(input_dir: str) -> None:
+    """Write the quoted-cells table (``pubs.csv``, ``pubs.jsonl``) and the narrow one (``narrow.csv``) in ``input_dir``."""
     os.makedirs(input_dir, exist_ok=True)
+    with open(os.path.join(input_dir, "narrow.csv"), "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([COLUMNS, *NARROW_ROWS])
     with open(os.path.join(input_dir, "pubs.csv"), "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows([COLUMNS, *(row or [] for row in QUOTED_ROWS)])
     with open(os.path.join(input_dir, "pubs.jsonl"), "w", encoding="utf-8", newline="") as fh:
@@ -117,11 +130,14 @@ def runs(input_dir: str, input_60x_dir: str, input_quoted_dir: str) -> dict[str,
         "curve-5-sigma2": ["curve", *pubs, *REPS, "--n-list", "400,1,46,5", "--sigma2", "1.8,0.5,1.3,2.2,1.0", "--seed", "7"],
         "curve-blocks": ["curve", *pubs, "--reps", "70000", "--n-list", "1,5"],
         "curve-odd-reps": ["curve", *pubs, "--reps", "4001", "--n-list", "1,5,46"],
+        "fit-refused-narrow": ["fit", "--input", os.path.join(input_quoted_dir, "narrow.csv"), *FITS],
+        "fit-refused-bins": ["fit", *pubs, "--bins", "1:4", "--fits", "1", "--seed", "1"],
+        "fit-refused-too-few": ["fit", *pubs, *FITS, "--range", "1:1.001"],
     }
 
 
 def run_all(src: str, out_dir: str, inputs: tuple[str, str, str]) -> dict[str, bytes] | None:
-    """Run every command with the package in ``src``; each output file's bytes by path, or None if one fails."""
+    """Run every command with the package in ``src``; each output file's bytes by path, or None if a run fails."""
     env = dict(os.environ, PYTHONPATH=src)
     files = {}
     for name, cli_args in runs(*inputs).items():
@@ -130,11 +146,15 @@ def run_all(src: str, out_dir: str, inputs: tuple[str, str, str]) -> dict[str, b
         os.makedirs(run_dir)
         cmd = [sys.executable, "-m", "fwcibench.cli", *cli_args, "--out", run_dir]
         done = subprocess.run(cmd, env=env, capture_output=True, text=True)
-        if done.returncode != 0:
+        if "Traceback" in done.stderr or (done.returncode != 0 and name not in REFUSED):
             print(f"{name} ({src}): exit {done.returncode}\n{done.stderr[-2000:]}", file=sys.stderr)
             return None
-        with open(os.path.join(run_dir, "stdout.txt"), "w", encoding="utf-8") as fh:
-            fh.write(done.stdout)
+        kept = {"stdout.txt": done.stdout}
+        if name in REFUSED:
+            kept.update({"exit.txt": f"{done.returncode}\n", "stderr.txt": done.stderr})
+        for file_name, text in kept.items():
+            with open(os.path.join(run_dir, file_name), "w", encoding="utf-8") as fh:
+                fh.write(text)
         for file_name in sorted(os.listdir(run_dir)):
             path = os.path.join(run_dir, file_name)
             with open(path, "rb") as fh:
@@ -173,7 +193,7 @@ def main(argv: list[str]) -> int:
     inputs = tuple(os.path.join(args.out_dir, name) for name in ("input", "input-60x", "input-quoted"))
     generate.generate(SEED, 1, inputs[0])
     generate.generate(SEED, 60, inputs[1])
-    write_quoted_input(inputs[2])
+    write_small_inputs(inputs[2])
     theirs = {} if args.against is None else run_all(args.against, args.out_dir, inputs)
     ours = None if theirs is None else run_all(os.path.join(ROOT, "src"), args.out_dir, inputs)
     if ours is None:

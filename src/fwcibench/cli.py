@@ -8,10 +8,11 @@ seed produce byte-identical output files on every run.
 Exit codes: 0 success; 1 usage error (bad flags, a flag the command does not
 read, or an OSError such as an unreadable path); 2 data error, raised as
 corpus.DataError (malformed corpus, text that is not UTF-8, a CSV the csv
-module cannot read, nothing to process, fewer than 4 distinct values to fit,
-budgets, an award's FWCI values or all eligible FWCI values whose sum
-overflows); 3 numerical failure, raised as corpus.NumericalError, which
-lognormal re-exports (every ensemble fit failed, a fitted statistic
+module cannot read, nothing to process, budgets, an award's FWCI values or all
+eligible FWCI values whose sum overflows, fewer than 8 values to fit or no
+drawn bin count that puts them in 4 non-empty bins); 3 numerical failure,
+raised as corpus.NumericalError, which lognormal re-exports (every ensemble
+fit failed although some bin count had 4 non-empty bins, a fitted statistic
 overflowed, the fit had no mass in its window, a simulated median
 underflowed). Any other exception is a bug and ends in a traceback.
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import logging
 import math
 import os
 import sys
@@ -121,7 +121,7 @@ def _flag_type(convert, ok, what: str):
 _pos_int = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
 _nonneg_int = _flag_type(int, lambda v: v >= 0, "an integer >= 0")
 _nonneg_float = _flag_type(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
-# The model lives on x > 0, and a histogram fit needs at least 4 non-empty bins.
+# The model lives on x > 0.
 _float_range = _flag_type(
     lambda t: tuple(map(float, t.split(":"))),
     lambda r: len(r) == 2 and 0 <= r[0] < r[1] < math.inf,
@@ -129,7 +129,7 @@ _float_range = _flag_type(
 )
 _int_range = _flag_type(
     lambda t: tuple(map(int, t.split(":"))),
-    lambda r: len(r) == 2 and 1 <= r[0] <= r[1] and r[1] >= 4,
+    lambda r: len(r) == 2 and 1 <= r[0] <= r[1] and r[1] >= 4,  # 4 is lognormal._MIN_BINS, which imports NumPy
     "integers LO:HI with 1 <= LO <= HI and HI >= 4",
 )
 _sigma_list = _flag_type(
@@ -292,17 +292,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     window_lo = max(fit_lo, args.low_cut)  # the fitted sample lies in [window_lo, fit_hi)
     fit_values = np.array([r.fwci for r in main if window_lo <= r.fwci < fit_hi and r.fwci > 0], dtype=float)
     n_outside = len(main) - fit_values.size
-    if fit_values.size < 8:
-        raise DataError(f"only {fit_values.size} values inside [{window_lo!r}, {fit_hi!r}); too few to fit")
-    n_distinct = int(np.count_nonzero(np.diff(np.sort(fit_values)))) + 1
-    if n_distinct < 4:
-        raise DataError(
-            f"only {n_distinct} distinct values inside [{window_lo!r}, {fit_hi!r}); a fit needs 4 non-empty bins"
-        )
-
-    ensemble = lognormal.ensemble_fit(
-        fit_values, window_lo, fit_hi, *args.bins, args.fits, args.seed
-    )
+    ensemble = lognormal.ensemble_fit(fit_values, window_lo, fit_hi, *args.bins, args.fits, args.seed)
     central = lognormal.LognormalParams(mu=ensemble.mu_p50, sigma=ensemble.sigma_p50)
     stats = lognormal.derived_stats(central)
     mass = lognormal.percentile_of(fit_hi, central) - (lognormal.percentile_of(window_lo, central) if window_lo > 0 else 0)
@@ -329,15 +319,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
     try:
         # ValueError: fewer than 4 non-empty bins, or an empty window (fit_hi <= e^-5 with window_lo = 0)
         cons_hist = histogram.build_histogram(np.log(fit_values), cons_lo, cons_hi, _LOG_BINS)
-        cons_amp, cons_params = lognormal.fit_normal_log(cons_hist)
+        cons = lognormal.fit_normal_log(cons_hist)
+        if not cons.converged:
+            print("warning: normal fit to log histogram did not converge", file=sys.stderr)
         cons_lines = [
             f"  range = {cons_lo!r}:{cons_hi!r} ({_LOG_BINS} bins of ln values)",
-            f"  amplitude = {cons_amp!r}",
-            f"  mu = {cons_params.mu!r}",
-            f"  sigma = {cons_params.sigma!r}",
+            f"  amplitude = {cons.amplitude!r}",
+            f"  mu = {cons.params.mu!r}",
+            f"  sigma = {cons.params.sigma!r}",
         ]
         ts = _grid(cons_lo, cons_hi)
-        gs = lognormal.gaussian((cons_amp, cons_params.mu, cons_params.sigma), ts)
+        gs = lognormal.gaussian((cons.amplitude, cons.params.mu, cons.params.sigma), ts)
     except ValueError as exc:
         cons_lines = [f"  unavailable: {exc}"]
         ts = gs = []
@@ -352,10 +344,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         f"  naive_mean_all = {naive_mean_all!r}",
         f"  naive_mean_fitted_sample = {float(fit_values.mean())!r}",
         "ensemble:",
-        f"  n_fits = {ensemble.n_fits}",
+        f"  n_fits = {args.fits}",
         f"  n_failed = {ensemble.n_failed}",
         *(f"  {key} = {value!r}" for key, value in ensemble.diagnostics.items()),
-        f"  seed = {ensemble.seed}",
+        f"  seed = {args.seed}",
         f"  window = {window_lo!r}:{fit_hi!r}",
         f"  mu_p2_5 = {ensemble.mu_p2_5!r}",
         f"  mu_p50 = {ensemble.mu_p50!r}",
@@ -458,7 +450,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

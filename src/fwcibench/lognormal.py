@@ -12,19 +12,19 @@ reading percentiles off the draws, whose median is the reported fit.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import NumericalError
+from .corpus import DataError, NumericalError
 from .histogram import Histogram
 from .leastsq import LeastSquaresResult, damped_least_squares, damped_least_squares_batch
 
-log = logging.getLogger(__name__)
-
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# Non-empty bins a histogram fit needs; the CLI's --bins check writes it out as HI >= 4.
+_MIN_BINS = 4
 
 # How many spans of its bin centers' ln range a fit's mu may lie outside it: a
 # window without the mode puts mu up to 5 out (at 4:8), a runaway fit some 1e5.
@@ -61,7 +61,7 @@ class LognormalParams:
 
 @dataclass(frozen=True)
 class LognormalFit:
-    """A single scaled-model fit to one histogram."""
+    """One fit to one histogram: the scaled model's by fit_histogram, or the normal in ln x by fit_normal_log."""
 
     amplitude: float
     params: LognormalParams
@@ -87,9 +87,7 @@ class FitEnsemble:
     sigma_p2_5: float
     sigma_p50: float
     sigma_p97_5: float
-    n_fits: int
     n_failed: int
-    seed: int
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
@@ -176,12 +174,12 @@ def _fit_block(centers, counts, n, init: LognormalParams | None) -> tuple[LeastS
     carries e / inf), and a row's sums are the same whatever rows share its block. Each row starts
     from ``init`` or, without one, from its own log-moments, with the amplitude that puts the model
     through its highest bin. Returns the solver's result per row and each row's status: 0 for a good
-    fit, else 1 plus the index of its reason in _FAILURES. A row with fewer than 4 non-empty bins is
-    not fitted: it starts at amplitude NaN, outside the domain.
+    fit, else 1 plus the index of its reason in _FAILURES. A row with fewer than _MIN_BINS non-empty
+    bins is not fitted: it starts at amplitude NaN, outside the domain.
     """
     cols = np.stack((np.log(centers), counts, np.where(np.arange(centers.shape[1]) < n[:, None], centers, np.inf)))
     t, y, _ = cols
-    enough = np.count_nonzero(y > 0, axis=1) >= 4
+    enough = np.count_nonzero(y > 0, axis=1) >= _MIN_BINS
     mu0, sigma0 = _moment_init(t, y) if init is None else (np.full(len(t), init.mu), np.full(len(t), init.sigma))
     t_pk, y_pk, x_pk = np.take_along_axis(cols, np.argmax(y, axis=1)[None, :, None], axis=2)[..., 0]
     z0 = (t_pk - mu0) / sigma0
@@ -200,7 +198,7 @@ def fit_histogram(hist: Histogram, init: LognormalParams | None = None) -> Logno
     least squares with the analytic Jacobian (iteration cap 200, relative
     step tolerance 1e-10). Empty bins stay in the objective with count 0;
     bins with non-positive centers are excluded because ln is undefined
-    there. Requires at least 4 non-empty usable bins. Non-convergence
+    there. Requires at least _MIN_BINS non-empty usable bins. Non-convergence
     returns the last iterate flagged converged=False, and so does a fit
     whose mu lies outside the ln range of the bin centers used by more than
     _MU_SPANS_OUTSIDE spans: LM can converge there on a few non-empty bins.
@@ -211,8 +209,8 @@ def fit_histogram(hist: Histogram, init: LognormalParams | None = None) -> Logno
     mask = hist.centers > 0
     x = np.asarray(hist.centers[mask], dtype=float)
     y = np.asarray(hist.counts[mask], dtype=float)
-    if np.count_nonzero(y > 0) < 4:
-        raise ValueError("histogram needs at least 4 non-empty bins with positive centers")
+    if np.count_nonzero(y > 0) < _MIN_BINS:
+        raise ValueError(f"histogram needs at least {_MIN_BINS} non-empty bins with positive centers")
     pad = -x.size % _PAD
     fit, status = _fit_block(np.pad(x, (0, pad), mode="edge")[None], np.pad(y, (0, pad))[None], np.array([x.size]), init)
     amp, mu, sigma = fit.params[0]
@@ -225,26 +223,24 @@ def fit_histogram(hist: Histogram, init: LognormalParams | None = None) -> Logno
     )
 
 
-def fit_normal_log(hist: Histogram) -> tuple[float, LognormalParams]:
+def fit_normal_log(hist: Histogram) -> LognormalFit:
     """Fit A' * exp(-(t - mu)^2 / (2 sigma^2)) to a histogram of ln values.
 
     Consistency check for :func:`fit_histogram`: on log-transformed data the
-    same (mu, sigma) should come back, in the same parameterization. Returns
-    (amplitude, params); non-convergence is logged as a warning since the
-    contract has no flag slot.
+    same (mu, sigma) should come back, in the same parameterization. Every
+    bin is used. Non-convergence returns the last iterate flagged
+    converged=False; the caller decides how to report it.
     """
     t = np.asarray(hist.centers, dtype=float)
     y = np.asarray(hist.counts, dtype=float)
-    if int((y > 0).sum()) < 4:
-        raise ValueError("histogram needs at least 4 non-empty bins")
+    if np.count_nonzero(y > 0) < _MIN_BINS:
+        raise ValueError(f"histogram needs at least {_MIN_BINS} non-empty bins")
 
     mu0, sigma0 = _moment_init(t, y)
     amp0 = max(float(y.max()), 1e-12)
     result = damped_least_squares(_gaussian_model, [amp0, mu0, sigma0], np.stack((t, y, np.ones_like(t))), valid=_valid)
-    if not result.converged:
-        log.warning("normal fit to log histogram did not converge in %d iterations", result.n_iter)
     amp, mu, sigma = result.params
-    return float(amp), LognormalParams(mu=float(mu), sigma=float(sigma))
+    return LognormalFit(float(amp), LognormalParams(float(mu), float(sigma)), t.size, math.sqrt(result.cost), result.converged)
 
 
 def ensemble_fit(
@@ -274,11 +270,11 @@ def ensemble_fit(
     interpolation between order statistics); ``n_failed`` counts the draws
     whose fit failed, not the distinct counts. All fits start from the
     log-sample moments of ``values``. Identical inputs give bit-identical
-    results.
+    results. A sample of fewer than 8 values, or one that no drawn count
+    puts in _MIN_BINS non-empty bins, raises DataError; NumericalError means
+    every fit failed although some drawn count had its _MIN_BINS bins.
     """
     arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("values must be non-empty")
     if not (0 <= lo < hi < math.inf):
         raise ValueError(f"need a window 0 <= lo < hi < inf, got [{lo}, {hi})")
     if not np.all((arr > 0) & (arr >= lo) & (arr < hi)):
@@ -287,6 +283,8 @@ def ensemble_fit(
         raise ValueError(f"need 1 <= bins_lo <= bins_hi, got [{bins_lo}, {bins_hi}]")
     if n_fits < 1:
         raise ValueError(f"need n_fits >= 1, got {n_fits}")
+    if arr.size < 8:
+        raise DataError(f"only {arr.size} values inside [{lo!r}, {hi!r}); too few to fit")
 
     logs = np.log(arr)
     init = LognormalParams(mu=float(logs.mean()), sigma=max(float(logs.std()), 1e-3))
@@ -306,6 +304,9 @@ def ensemble_fit(
         fit, status[start:stop] = _fit_block(*_binned_block(offsets, lo, hi, n, length[start]), n, init)
         per_count[start:stop], n_iter[start:stop] = fit.params[:, 1:], fit.n_iter
         start = stop
+    fitted = n_iter[status != 1]
+    if not fitted.size:
+        raise DataError(f"no drawn bin count puts the {arr.size} values inside [{lo!r}, {hi!r}) in {_MIN_BINS} non-empty bins")
     per_draw = per_count[draw_of][status[draw_of] == 0]
     if not len(per_draw):
         raise NumericalError(f"all {n_fits} ensemble fits failed")
@@ -313,7 +314,6 @@ def ensemble_fit(
     ordered = np.sort(per_draw, axis=0)
     mu_lo, mu_mid, mu_hi = _sorted_percentiles(ordered[:, 0], (2.5, 50.0, 97.5))
     sg_lo, sg_mid, sg_hi = _sorted_percentiles(ordered[:, 1], (2.5, 50.0, 97.5))
-    fitted = n_iter[status != 1]  # not empty: some count fitted well
     failed = {f"failed_bin_counts.{why}": int(k) for why, k in zip(_FAILURES, np.bincount(status, minlength=4)[1:])}
     return FitEnsemble(
         mu_p2_5=mu_lo,
@@ -322,9 +322,7 @@ def ensemble_fit(
         sigma_p2_5=sg_lo,
         sigma_p50=sg_mid,
         sigma_p97_5=sg_hi,
-        n_fits=int(n_fits),
         n_failed=int(n_fits - len(per_draw)),
-        seed=int(seed),
         diagnostics={
             **failed,
             "lm_iterations_per_bin_count.mean": float(fitted.mean()),

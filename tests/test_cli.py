@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import gc
 import io
 import json
@@ -231,7 +232,7 @@ def test_budgets_summing_past_the_largest_float_are_a_data_error(corpus_path, tm
 def test_fit_whose_mean_overflows_is_a_numerical_error(tmp_path, capsys, monkeypatch):
     # No fit whose mu stays inside its bins' ln range has been seen to put the
     # mean past the largest float, so the ensemble is stubbed: mu + sigma^2 / 2 = 711.
-    ensemble = lognormal.FitEnsemble(708.9, 709.0, 709.1, 1.9, 2.0, 2.1, n_fits=20, n_failed=0, seed=42)
+    ensemble = lognormal.FitEnsemble(708.9, 709.0, 709.1, 1.9, 2.0, 2.1, n_failed=0)
     monkeypatch.setattr(lognormal, "ensemble_fit", lambda *args: ensemble)
     path = tmp_path / "pubs.csv"
     rows = [[f"11/IA/{3000 + i % 5}", 2019, "article", repr(0.2 + 0.3 * i), 1, "t", f"W{i}"] for i in range(20)]
@@ -244,7 +245,7 @@ def test_fit_whose_mean_overflows_is_a_numerical_error(tmp_path, capsys, monkeyp
 
 def test_fit_whose_model_puts_no_mass_in_the_window_is_a_numerical_error(tmp_path, capsys, monkeypatch):
     # at mu = 50, sigma = 1 the share of the distribution below 8 underflows to 0
-    ensemble = lognormal.FitEnsemble(49.9, 50.0, 50.1, 0.9, 1.0, 1.1, n_fits=20, n_failed=0, seed=42)
+    ensemble = lognormal.FitEnsemble(49.9, 50.0, 50.1, 0.9, 1.0, 1.1, n_failed=0)
     monkeypatch.setattr(lognormal, "ensemble_fit", lambda *args: ensemble)
     path = tmp_path / "pubs.csv"
     rows = [[f"11/IA/{3000 + i % 5}", 2019, "article", repr(0.2 + 0.3 * i), 1, "t", f"W{i}"] for i in range(20)]
@@ -463,6 +464,7 @@ def test_fit_writes_report_and_series(corpus_path, tmp_path, capsys):
     report = (out / "fit_report.txt").read_text(encoding="utf-8")
     assert "  fits = 60" in report
     assert "  seed = 3" in report
+    assert "ensemble:\n  n_fits = 60\n" in report and "\n  seed = 3\n  window = " in report
     assert "naive_mean_all = " in report
     assert "naive_mean_fitted_sample = " in report
     assert "fitted_mean = " in report
@@ -611,8 +613,44 @@ def test_fit_on_fewer_than_four_distinct_values_is_a_data_error(values, tmp_path
     out = tmp_path / "out"
     assert cli.main(["fit", "--input", str(path), "--out", str(out), "--fits", "200"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "distinct values" in err and err.count("\n") == 1
+    assert err == "error: no drawn bin count puts the 30 values inside [0.1, 8.0) in 4 non-empty bins\n"
     assert not (out / "fit_report.txt").exists()
+
+
+def test_fit_on_values_no_drawn_bin_count_separates_is_a_data_error(tmp_path, capsys):
+    # four distinct values within 0.0003 of each other share one bin at every count up to 800
+    path = tmp_path / "narrow.csv"
+    values = ("1.0", "1.0001", "1.0002", "1.0003")
+    rows = [[f"11/IA/{2000 + i}", 2019, "article", values[i % 4], 1, "t", f"W{i}"] for i in range(12)]
+    write_csv(path, list(CSV_COLUMNS), rows)
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(path), "--out", str(out), "--fits", "200"]) == 2
+    err = assert_one_line_error(capsys)
+    assert err == "error: no drawn bin count puts the 12 values inside [0.1, 8.0) in 4 non-empty bins\n"
+    assert not (out / "fit_report.txt").exists()
+
+
+def test_fit_whose_one_drawn_bin_count_is_below_four_is_a_data_error(corpus_path, tmp_path, capsys):
+    # the one count drawn at seed 1 from 1:4 is 2, whatever the data
+    out = tmp_path / "out"
+    args = ["fit", "--input", str(corpus_path), "--out", str(out), "--bins", "1:4", "--fits", "1", "--seed", "1"]
+    assert cli.main(args) == 2
+    assert "4 non-empty bins" in assert_one_line_error(capsys)
+    assert not (out / "fit_report.txt").exists()
+
+
+def test_fit_warns_once_when_its_consistency_fit_does_not_converge(corpus_path, tmp_path, capsys, monkeypatch):
+    # damped_least_squares is the solver only the consistency fit calls
+    solve = lognormal.damped_least_squares
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(solve(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(lognormal, "damped_least_squares", unconverged)
+    out = tmp_path / "out"
+    assert cli.main(fit_args(corpus_path, out)) == 0
+    assert capsys.readouterr().err == "warning: normal fit to log histogram did not converge\n"
+    assert "consistency (normal fit to ln values):\n  range = " in (out / "fit_report.txt").read_text(encoding="utf-8")
 
 
 def test_fit_with_an_empty_consistency_window_reports_it_unavailable(tmp_path, capsys):
@@ -1045,6 +1083,18 @@ def test_fit_never_imports_numpy_ma(corpus_path, tmp_path):
     main_then_modules = "import sys; from fwcibench import cli; print(cli.main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
     argv = ["fit", "--input", "small.csv", "--fits", "20", "--out", "out"]
     assert run_fresh(main_then_modules, *argv, cwd=tmp_path)[-1] == "0 False"
+
+
+def test_ingest_and_fit_never_import_logging(corpus_path, tmp_path):
+    # benchmark and curve still load it, through concurrent.futures
+    shutil.copy(corpus_path, tmp_path / "small.csv")
+    code = (
+        "import sys; from fwcibench import cli\n"
+        "ingest = cli.main(['ingest', '--input', 'small.csv', '--out', 'out'])\n"
+        "fit = cli.main(['fit', '--input', 'small.csv', '--fits', '20', '--out', 'out'])\n"
+        "print(ingest, fit, 'logging' in sys.modules)\n"
+    )
+    assert run_fresh(code, cwd=tmp_path)[-1] == "0 0 False"
 
 
 def test_package_loads_its_submodules_on_first_use():

@@ -10,6 +10,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from fwcibench import lognormal
+from fwcibench.corpus import DataError
 from fwcibench.histogram import Histogram, build_histogram, log_transform
 from fwcibench.lognormal import (
     FitEnsemble,
@@ -140,10 +141,10 @@ def test_normal_log_recovers_exact_gaussian():
     width = (hi - lo) / n
     centers = lo + (np.arange(n) + 0.5) * width
     counts = 120.0 * np.exp(-0.5 * ((centers - P_FIT.mu) / P_FIT.sigma) ** 2)
-    amp, params = fit_normal_log(Histogram(lo=lo, hi=hi, n_bins=n, counts=counts, centers=centers))
-    assert amp == pytest.approx(120.0, rel=1e-8)
-    assert params.mu == pytest.approx(P_FIT.mu, abs=1e-8)
-    assert params.sigma == pytest.approx(P_FIT.sigma, abs=1e-8)
+    fit = fit_normal_log(Histogram(lo=lo, hi=hi, n_bins=n, counts=counts, centers=centers))
+    assert fit.amplitude == pytest.approx(120.0, rel=1e-8)
+    assert fit.params.mu == pytest.approx(P_FIT.mu, abs=1e-8)
+    assert fit.params.sigma == pytest.approx(P_FIT.sigma, abs=1e-8)
 
 
 def test_cross_method_consistency_exact_counts():
@@ -155,7 +156,7 @@ def test_cross_method_consistency_exact_counts():
     width = (hi - lo) / n
     centers = lo + (np.arange(n) + 0.5) * width
     counts = 80.0 * np.exp(-0.5 * ((centers - P_FIT.mu) / P_FIT.sigma) ** 2)
-    _, p_t = fit_normal_log(Histogram(lo=lo, hi=hi, n_bins=n, counts=counts, centers=centers))
+    p_t = fit_normal_log(Histogram(lo=lo, hi=hi, n_bins=n, counts=counts, centers=centers)).params
 
     assert abs(fit_x.params.mu - p_t.mu) < 2e-6
     assert abs(fit_x.params.sigma - p_t.sigma) < 2e-6
@@ -164,7 +165,7 @@ def test_cross_method_consistency_exact_counts():
 def test_cross_method_consistency_on_draws(trunc_sampler):
     draws = trunc_sampler(100_000, P_FIT.mu, P_FIT.sigma, seed=77)
     fit_x = fit_histogram(build_histogram(draws, 0.0, 8.0, 80))
-    _, p_t = fit_normal_log(build_histogram(np.log(draws), math.log(0.005), math.log(8.0), 40))
+    p_t = fit_normal_log(build_histogram(np.log(draws), math.log(0.005), math.log(8.0), 40)).params
     assert abs(fit_x.params.mu - p_t.mu) < 0.03
     assert abs(fit_x.params.sigma - p_t.sigma) < 0.03
 
@@ -183,8 +184,8 @@ def test_normal_log_spike_masked_by_range(trunc_sampler):
     assert h_spiked.counts.tolist() == h_clean.counts.tolist()
     assert h_spiked.n_dropped == n_zero
 
-    _, p_clean = fit_normal_log(h_clean)
-    _, p_spiked = fit_normal_log(h_spiked)
+    p_clean = fit_normal_log(h_clean).params
+    p_spiked = fit_normal_log(h_spiked).params
     assert p_spiked.mu == p_clean.mu and p_spiked.sigma == p_clean.sigma
     assert p_spiked.mu == pytest.approx(P_FIT.mu, abs=0.05)
 
@@ -210,10 +211,10 @@ def test_lm_iterates_are_pinned_bit_for_bit(trunc_sampler, monkeypatch):
     assert got == ["0x1.669884f9001aap+7", "-0x1.bfd36dbd8a380p-4", "0x1.c7d749bb13313p-1", "0x1.977ae460f3fdfp+5"]
     assert (solves[-1].n_iter.tolist(), fit.converged) == ([9], True)
 
-    amp, p = fit_normal_log(build_histogram(np.log(draws), math.log(0.005), math.log(8.0), 40))
-    got = [v.hex() for v in (amp, p.mu, p.sigma, math.sqrt(solves[-1].cost))]
+    fit = fit_normal_log(build_histogram(np.log(draws), math.log(0.005), math.log(8.0), 40))
+    got = [v.hex() for v in (fit.amplitude, fit.params.mu, fit.params.sigma, fit.residual_norm)]
     assert got == ["0x1.f0cff62ef8046p+7", "-0x1.cc1c452352517p-4", "0x1.c6673db4fd9dfp-1", "0x1.a5aec094d4996p+5"]
-    assert (solves[-1].n_iter, solves[-1].converged) == (7, True)
+    assert (solves[-1].n_iter, fit.converged) == (7, True)
 
 
 def fit_key(fit):
@@ -271,24 +272,25 @@ def per_draw_ensemble(values, lo, hi, bins_lo, bins_hi, n_fits, seed):
     logs = np.log(values)
     init = LognormalParams(mu=float(logs.mean()), sigma=max(float(logs.std()), 1e-3))
     bin_draws = np.random.default_rng(seed).integers(bins_lo, bins_hi, size=n_fits, endpoint=True)
-    mus, sigmas = [], []
+    mus, sigmas, n_binned = [], [], 0
     for n_bins in bin_draws:
         try:
             fit = fit_histogram(build_histogram(values, lo, hi, int(n_bins)), init=init)
         except ValueError:
             continue
+        n_binned += 1
         if fit.converged:
             mus.append(fit.params.mu)
             sigmas.append(fit.params.sigma)
+    if not n_binned:
+        raise DataError(f"no drawn bin count puts the {values.size} values inside [{lo!r}, {hi!r}) in 4 non-empty bins")
     if not mus:
         raise NumericalError(f"all {n_fits} ensemble fits failed")
     q = [2.5, 50.0, 97.5]
     return FitEnsemble(
         *(float(v) for v in np.percentile(mus, q)),
         *(float(v) for v in np.percentile(sigmas, q)),
-        n_fits=n_fits,
         n_failed=n_fits - len(mus),
-        seed=seed,
     )
 
 
@@ -297,7 +299,7 @@ def test_ensemble_single_fit_percentiles_collapse(trunc_sampler):
     ens = ensemble_fit(draws, 0.0, 8.0, 20, 800, 1, seed=9)
     assert ens.mu_p2_5 == ens.mu_p50 == ens.mu_p97_5
     assert ens.sigma_p2_5 == ens.sigma_p50 == ens.sigma_p97_5
-    assert ens.n_fits == 1 and ens.n_failed == 0
+    assert ens.n_failed == 0
 
 
 def test_ensemble_deterministic_and_ordered(trunc_sampler):
@@ -325,9 +327,11 @@ def test_ensemble_counts_failed_members():
 
 
 def test_ensemble_all_failed_raises():
+    # one value: no bin count gives it the 4 non-empty bins a fit needs, which is a data error
     args = (np.full(50, 0.5), 0.0, 8.0, 20, 40, 10)
+    message = r"no drawn bin count puts the 50 values inside \[0.0, 8.0\) in 4 non-empty bins"
     for fit in (ensemble_fit, per_draw_ensemble):
-        with pytest.raises(NumericalError, match="all 10 ensemble fits failed"):
+        with pytest.raises(DataError, match=message):
             fit(*args, seed=0)
 
 
@@ -424,7 +428,7 @@ def test_ensemble_memory_is_bounded_by_its_batch_not_its_draws():
 
 def test_ensemble_input_validation():
     vals = np.array([1.0, 2.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match=r"only 0 values inside \[0.0, 8.0\); too few to fit"):
         ensemble_fit(np.array([]), 0.0, 8.0, 20, 800, 10, seed=0)
     with pytest.raises(ValueError):
         ensemble_fit(np.array([0.0, 1.0]), 0.0, 8.0, 20, 800, 10, seed=0)
