@@ -9,7 +9,8 @@ Exit codes: 0 success; 1 usage error (bad flags, a flag the command does not
 read, or an OSError such as an unreadable path); 2 data error, raised as
 corpus.DataError (malformed corpus, text that is not UTF-8, a CSV the csv
 module cannot read, nothing to process, budgets, an award's FWCI values or all
-eligible FWCI values whose sum overflows, fewer than 8 values to fit or no
+eligible FWCI values whose sum overflows, fewer than 8 values to fit, a
+window too narrow for the top --bins count to give normal-float bins, or no
 drawn bin count that puts them in 4 non-empty bins); 3 numerical failure,
 raised as corpus.NumericalError, which lognormal re-exports (every ensemble
 fit failed although some bin count had 4 non-empty bins, a fitted statistic

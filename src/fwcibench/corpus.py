@@ -215,9 +215,7 @@ def _csv_rejection(line_num: int, reason: str, cells: list[str]) -> RowRejection
     :func:`write_records_csv` quotes it, with CR and LF written as ``\\r``
     and ``\\n``; other cells are written as read.
     """
-    raw = ",".join(cells)
-    if raw.count(",") >= len(cells) or re.search('["\r\n]', raw):  # the join adds len(cells) - 1 commas
-        raw = ",".join(_quoted(c).replace("\r", "\\r").replace("\n", "\\n") if re.search('[,"\r\n]', c) else c for c in cells)
+    raw = ",".join(_quoted(c).replace("\r", "\\r").replace("\n", "\\n") if re.search('[,"\r\n]', c) else c for c in cells)
     return RowRejection(_first_line(line_num, cells), reason, raw)
 
 

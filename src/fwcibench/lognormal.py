@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import DataError, NumericalError
-from .histogram import Histogram
+from .histogram import Histogram, binned_rows
 from .leastsq import LeastSquaresResult, damped_least_squares, damped_least_squares_batch
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -36,9 +36,9 @@ _FAILURES = ("too_few_bins", "not_converged", "mu_outside_bins")
 # A fit's residual cells are padded to a multiple of _PAD, so the length its sums run over, and
 # with it every bit of its result, depends on its own bin count alone and not on its block.
 _PAD = 64
-# Cells in one block of fits: enough rows to share NumPy's per-call cost, and few enough that each
-# float64 array of the loop stays at 64 KB, well under the 128 KB at which glibc would map fresh
-# pages for it on every call.
+# Cells in one block of LM fits: enough rows to share NumPy's per-call cost, and few enough that
+# each float64 array of the loop stays at 64 KB, well under the 128 KB at which glibc would map
+# fresh pages for it on every call.
 _MAX_CELLS = 8192
 
 # The standard normal 97.5% quantile: NormalDist().inv_cdf(0.975), 0x1.f5c0331eeff82p+0, to the last bit.
@@ -182,8 +182,7 @@ def _fit_block(centers, counts, n, init: LognormalParams | None) -> tuple[LeastS
     enough = np.count_nonzero(y > 0, axis=1) >= _MIN_BINS
     mu0, sigma0 = _moment_init(t, y) if init is None else (np.full(len(t), init.mu), np.full(len(t), init.sigma))
     t_pk, y_pk, x_pk = np.take_along_axis(cols, np.argmax(y, axis=1)[None, :, None], axis=2)[..., 0]
-    z0 = (t_pk - mu0) / sigma0
-    amp0 = np.where(enough, np.maximum(y_pk / np.maximum(np.exp(-0.5 * z0 * z0) / x_pk, 1e-300), 1e-12), np.nan)
+    amp0 = np.where(enough, np.maximum(y_pk / np.maximum(gaussian((1.0, mu0, sigma0), t_pk, x_pk), 1e-300), 1e-12), np.nan)
     fit = damped_least_squares_batch(_gaussian_model, np.stack((amp0, mu0, sigma0), axis=1), cols, valid=_valid)
     # mu more than _MU_SPANS_OUTSIDE spans outside the ln range of the row's bin centers is a failure
     t_lo, t_hi, mu = t[:, 0], t[:, -1], fit.params[:, 1]
@@ -259,20 +258,21 @@ def ensemble_fit(
     count, and fits the scaled model. Every value must be positive and lie
     in that half-open window, with 0 <= lo. A fit depends only on its bin
     count, so each distinct count is fitted once, in this process, and its
-    result stands for every draw of that count. The counts are binned
-    straight into blocks, in ascending order: one row per count, padded to
-    a multiple of _PAD cells, rows of one padded length together, at most
-    _MAX_CELLS cells a block. Each block is one lockstep LM loop (see
-    :func:`damped_least_squares_batch`), and a fit gives the same bits
+    result stands for every draw of that count. The counts are binned by
+    :func:`binned_rows` into blocks, in ascending order: one row per count,
+    padded to a multiple of _PAD cells, rows of one padded length together,
+    at most _MAX_CELLS cells a block. Each block is one lockstep LM loop
+    (see :func:`damped_least_squares_batch`), and a fit gives the same bits
     whichever fits share its block: those :func:`fit_histogram` gives for
     ``build_histogram(values, lo, hi, count)``. The converged (mu, sigma)
     pairs of all draws feed the 2.5/50/97.5 percentiles (linear
     interpolation between order statistics); ``n_failed`` counts the draws
     whose fit failed, not the distinct counts. All fits start from the
     log-sample moments of ``values``. Identical inputs give bit-identical
-    results. A sample of fewer than 8 values, or one that no drawn count
-    puts in _MIN_BINS non-empty bins, raises DataError; NumericalError means
-    every fit failed although some drawn count had its _MIN_BINS bins.
+    results. Fewer than 8 values, bins at bins_hi below the smallest normal
+    float, or no drawn count that puts the values in _MIN_BINS non-empty
+    bins raises DataError; NumericalError means every fit failed although
+    some drawn count had its _MIN_BINS bins.
     """
     arr = np.asarray(values, dtype=float).ravel()
     if not (0 <= lo < hi < math.inf):
@@ -285,6 +285,8 @@ def ensemble_fit(
         raise ValueError(f"need n_fits >= 1, got {n_fits}")
     if arr.size < 8:
         raise DataError(f"only {arr.size} values inside [{lo!r}, {hi!r}); too few to fit")
+    if (hi - lo) / bins_hi < np.finfo(float).smallest_normal:
+        raise DataError(f"the window [{lo!r}, {hi!r}) is too narrow for {bins_hi} bins: a bin would be narrower than the smallest normal float")
 
     logs = np.log(arr)
     init = LognormalParams(mu=float(logs.mean()), sigma=max(float(logs.std()), 1e-3))
@@ -301,7 +303,7 @@ def ensemble_fit(
     while start < bin_counts.size:  # one block: counts of one padded length, at most _MAX_CELLS cells
         stop = min(start + max(1, _MAX_CELLS // length[start]), np.searchsorted(length, length[start], side="right"))
         n = bin_counts[start:stop]
-        fit, status[start:stop] = _fit_block(*_binned_block(offsets, lo, hi, n, length[start]), n, init)
+        fit, status[start:stop] = _fit_block(*binned_rows(offsets, lo, hi, n, length[start]), n, init)
         per_count[start:stop], n_iter[start:stop] = fit.params[:, 1:], fit.n_iter
         start = stop
     fitted = n_iter[status != 1]
@@ -346,25 +348,6 @@ def _sorted_percentiles(ordered: np.ndarray, qs) -> list[float]:
         a, b, t = float(ordered[i]), float(ordered[min(i + 1, last)]), v - i
         out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
     return out
-
-
-def _binned_block(offsets, lo: float, hi: float, n: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """The padded centers and counts (see :func:`_fit_block`) of the histograms over [lo, hi) at each count in n.
-
-    ``offsets`` holds v - lo for values v in [lo, hi), lo >= 0. The centers and counts equal, bit for
-    bit, those of :func:`build_histogram` at each count.
-    """
-    width = (hi - lo) / n
-    centers = lo + (np.minimum(np.arange(length), n[:, None] - 1) + 0.5) * width[:, None]
-    counts = np.empty(centers.shape)
-    step = max(1, _MAX_CELLS // offsets.size)  # counts per pass: its temporaries stay at 64 KB, as the loop's do
-    for r in range(0, n.size, step):
-        # truncation is floor((v - lo) / width) here, as v - lo >= 0; a v whose quotient rounds up to n goes in the last bin
-        cell = (offsets / width[r : r + step, None]).astype(np.intp)
-        np.minimum(cell, n[r : r + step, None] - 1, out=cell)
-        cell += np.arange(len(cell))[:, None] * length
-        counts[r : r + step] = np.bincount(cell.ravel(), minlength=len(cell) * length).reshape(-1, length)
-    return centers, counts
 
 
 def derived_stats(params: LognormalParams) -> DerivedStats:

@@ -630,6 +630,23 @@ def test_fit_on_values_no_drawn_bin_count_separates_is_a_data_error(tmp_path, ca
     assert not (out / "fit_report.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "bins,top", [([], 800), (["--bins", "4:20", "--fits", "50"], 20)], ids=["default-bins", "bins-4-20"]
+)
+def test_fit_on_a_window_too_narrow_for_its_top_bin_count_is_a_data_error(bins, top, tmp_path, capsys):
+    # 12 subnormal values; 5e-322 / 20 is subnormal and 5e-322 / 800 is 0. Runs with RuntimeWarning as an error.
+    path = tmp_path / "subnormal.csv"
+    rows = [[f"11/IA/{2000 + i}", 2019, "article", repr((i + 1) * 2e-323), 1, "t", f"W{i}"] for i in range(12)]
+    write_csv(path, list(CSV_COLUMNS), rows)
+    out = tmp_path / "out"
+    args = ["fit", "--input", str(path), "--out", str(out), "--range", "0:5e-322", "--low-cut", "0", *bins]
+    assert cli.main(args) == 2
+    err = assert_one_line_error(capsys)
+    narrow = f"the window [0.0, 5e-322) is too narrow for {top} bins"
+    assert err == f"error: {narrow}: a bin would be narrower than the smallest normal float\n"
+    assert not (out / "fit_report.txt").exists()
+
+
 def test_fit_whose_one_drawn_bin_count_is_below_four_is_a_data_error(corpus_path, tmp_path, capsys):
     # the one count drawn at seed 1 from 1:4 is 2, whatever the data
     out = tmp_path / "out"

@@ -1,11 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fwcibench import histogram
-from fwcibench.histogram import build_histogram, log_transform
+from fwcibench.histogram import binned_rows, build_histogram, log_transform
 
 
 def test_basic_counts():
@@ -33,10 +34,60 @@ def test_value_at_lo_is_kept():
     assert h.counts.tolist() == [1, 0, 0]
 
 
-@pytest.mark.parametrize("lo,hi,n", [(1.0, 1.0, 3), (2.0, 1.0, 3), (0.0, 1.0, 0), (0.0, 1.0, -2)])
+@pytest.mark.parametrize(
+    "lo,hi,n",
+    [
+        (1.0, 1.0, 3),
+        (2.0, 1.0, 3),
+        (0.0, 1.0, 0),
+        (0.0, 1.0, -2),
+        # bin widths that are not a finite float > 0: infinite, overflowing, underflowing to 0
+        (-math.inf, 2.0, 3),
+        (0.0, math.inf, 3),
+        (-1e308, 1e308, 3),
+        (0.0, 5e-324, 2),
+    ],
+)
 def test_bad_arguments(lo, hi, n):
     with pytest.raises(ValueError):
         build_histogram([0.5], lo, hi, n)
+
+
+def oracle_counts(values, lo, hi, k):
+    """Each value in [lo, hi) in bin min(floor((v - lo) / width), k - 1), counted one by one."""
+    width = (hi - lo) / k
+    bins = Counter(min(math.floor((v - lo) / width), k - 1) for v in values if lo <= v < hi)
+    return [bins[i] for i in range(k)]
+
+
+@pytest.mark.parametrize("lo,hi", [(0.1, 8.0), (-5.0, 3.0)])
+def test_binned_rows_and_build_histogram_match_a_value_by_value_oracle(lo, hi):
+    ks = np.array([*range(1, 65), 799, 800])
+    length = 832  # 800 rounded up to a multiple of 64
+    top = np.nextafter(hi, lo)
+    drawn = np.random.default_rng(29).uniform(lo, hi, 500).tolist()
+    exact = 0
+    for k in ks.tolist():
+        width = (hi - lo) / k
+        # the bin edges and hi itself, which is dropped; hi - ulp's quotient rounds up to k at 21 and 24 over [0.1, 8)
+        edges = [lo + j * width for j in range(k + 1)]
+        exact += sum((e - lo) / width == j for j, e in enumerate(edges[1:k], start=1))
+        values = [lo, lo, top, *edges, *drawn]
+        expected = oracle_counts(values, lo, hi, k)
+        hist = build_histogram(values, lo, hi, k)
+        offsets = np.array([v for v in values if lo <= v < hi]) - lo
+        (centers,), (counts,) = binned_rows(offsets, lo, hi, np.array([k]), length)
+        assert hist.counts.tolist() == counts[:k].tolist() == expected
+        assert hist.centers.tolist() == centers[:k].tolist()
+        assert counts.dtype == np.int64 and not counts[k:].any()
+        assert (centers[k:] == centers[k - 1]).all()
+    assert exact > 1000  # edges whose quotient is an exact integer, so floor and truncation meet there
+    # every count in one call gives the same rows as one call per count
+    offsets = np.array(drawn) - lo
+    centers, counts = binned_rows(offsets, lo, hi, ks, length)
+    for row, k in enumerate(ks.tolist()):
+        assert counts[row, :k].tolist() == oracle_counts(drawn, lo, hi, k)
+        assert centers[row].tolist() == binned_rows(offsets, lo, hi, np.array([k]), length)[0][0].tolist()
 
 
 def test_centers_and_width():

@@ -267,7 +267,11 @@ def test_normal_log_needs_enough_bins():
 
 
 def per_draw_ensemble(values, lo, hi, bins_lo, bins_hi, n_fits, seed):
-    """One fit per drawn bin count, as the ensemble was first computed."""
+    """One fit per drawn bin count, as the ensemble was first computed.
+
+    Its histograms come from build_histogram, which bins through the ensemble's own binned_rows, so
+    this checks the blocks, the fits and the percentiles; tests/test_histogram.py checks the binning.
+    """
     values = np.asarray(values, dtype=float)
     logs = np.log(values)
     init = LognormalParams(mu=float(logs.mean()), sigma=max(float(logs.std()), 1e-3))
@@ -430,6 +434,8 @@ def test_ensemble_input_validation():
     vals = np.array([1.0, 2.0])
     with pytest.raises(DataError, match=r"only 0 values inside \[0.0, 8.0\); too few to fit"):
         ensemble_fit(np.array([]), 0.0, 8.0, 20, 800, 10, seed=0)
+    with pytest.raises(DataError, match=r"the window \[0.0, 5e-322\) is too narrow for 20 bins"):
+        ensemble_fit(np.arange(1, 13) * 2e-323, 0.0, 5e-322, 4, 20, 50, seed=0)  # 5e-322 / 20 is subnormal
     with pytest.raises(ValueError):
         ensemble_fit(np.array([0.0, 1.0]), 0.0, 8.0, 20, 800, 10, seed=0)
     with pytest.raises(ValueError):
