@@ -30,15 +30,17 @@ that one block of fits mixes failed and converged ones, ``benchmark``,
 ``benchmark`` with five unsorted ``--sigma2`` values and ``--seed 7``,
 ``curve``, ``curve`` with the same five values, an unsorted ``--n-list`` and
 ``--seed 7``, ``curve`` at 70,000 reps, and ``curve`` at 4,001 reps, each in
-its own subdirectory of OUT_DIR. Four more runs are ones ``fit`` must
+its own subdirectory of OUT_DIR. Five more runs are ones ``fit`` must
 refuse: a narrow table written here, whose 12 values lie within 0.0003 of
 each other, so no bin count puts them in 4 non-empty bins; ``--bins 1:4
 --fits 1 --seed 1``, whose one drawn count is 2; ``--range 1:1.001``,
-which holds fewer than 8 values; and a subnormal table written here, 12
+which holds fewer than 8 values; a subnormal table written here, 12
 values (k + 1) * 2e-323 fitted at ``--range 0:5e-322 --low-cut 0 --bins
-4:20``, where a bin at 20 counts is narrower than the smallest normal
-float. Every flag a command reads is thus off its default in at least one
-of its runs, which ``tests/test_golden.py`` checks.
+4:20``, where a bin at 20 counts is subnormal; and a tiny table written
+here, 16 values (k + 1) * 5e-161 fitted at ``--range 0:1e-159 --low-cut
+0``, whose bin centers at 800 counts lie too close to 0 for the scaled
+model's sums to stay finite. Every flag a command reads is thus off its
+default in at least one of its runs, which ``tests/test_golden.py`` checks.
 So that the whole run takes seconds, each ``fit`` gets ``--fits 300`` and
 each ``benchmark`` and ``curve`` ``--reps 4000`` unless it names its own.
 The ``curve`` runs pass ``--input`` too: ``curve`` accepts it unread, and an
@@ -96,14 +98,16 @@ QUOTED_ROWS = [
 NARROW_ROWS = [["12/IA/1570", "2019", "article", f"1.000{k % 4}", "1", "t", f"N{k}"] for k in range(12)]
 # The subnormal table: 12 values (k + 1) * 2e-323, too close to 0 for any bin of 0:5e-322 to be a normal float.
 SUBNORMAL_ROWS = [["12/IA/1570", "2019", "article", repr((k + 1) * 2e-323), "1", "t", f"S{k}"] for k in range(12)]
+# The tiny table: 16 values (k + 1) * 5e-161, whose bins of 0:1e-159 are normal floats but too close to 0 to fit.
+TINY_ROWS = [["12/IA/1570", "2019", "article", repr((k + 1) * 5e-161), "1", "t", f"T{k}"] for k in range(16)]
 # The runs fit must refuse; each keeps its exit code and stderr.
-REFUSED = {"fit-refused-narrow", "fit-refused-bins", "fit-refused-too-few", "fit-refused-subnormal"}
+REFUSED = {"fit-refused-narrow", "fit-refused-bins", "fit-refused-too-few", "fit-refused-subnormal", "fit-refused-tiny"}
 
 
 def write_small_inputs(input_dir: str) -> None:
-    """Write the quoted-cells table (``pubs.csv``, ``pubs.jsonl``), the narrow one and the subnormal one in ``input_dir``."""
+    """Write the quoted-cells table (``pubs.csv``, ``pubs.jsonl``), the narrow, subnormal and tiny ones in ``input_dir``."""
     os.makedirs(input_dir, exist_ok=True)
-    for name, rows in (("narrow.csv", NARROW_ROWS), ("subnormal.csv", SUBNORMAL_ROWS)):
+    for name, rows in (("narrow.csv", NARROW_ROWS), ("subnormal.csv", SUBNORMAL_ROWS), ("tiny.csv", TINY_ROWS)):
         with open(os.path.join(input_dir, name), "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerows([COLUMNS, *rows])
     with open(os.path.join(input_dir, "pubs.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -142,6 +146,9 @@ def runs(input_dir: str, input_60x_dir: str, input_quoted_dir: str) -> dict[str,
         "fit-refused-subnormal": [
             "fit", "--input", os.path.join(input_quoted_dir, "subnormal.csv"), *FITS,
             "--range", "0:5e-322", "--low-cut", "0", "--bins", "4:20",
+        ],
+        "fit-refused-tiny": [
+            "fit", "--input", os.path.join(input_quoted_dir, "tiny.csv"), *FITS, "--range", "0:1e-159", "--low-cut", "0",
         ],
     }
 

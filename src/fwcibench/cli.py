@@ -6,12 +6,13 @@ and nothing embeds a timestamp or machine detail: the same inputs, flags and
 seed produce byte-identical output files on every run.
 
 Exit codes: 0 success; 1 usage error (bad flags, a flag the command does not
-read, or an OSError such as an unreadable path); 2 data error, raised as
-corpus.DataError (malformed corpus, text that is not UTF-8, a CSV the csv
-module cannot read, nothing to process, budgets, an award's FWCI values or all
-eligible FWCI values whose sum overflows, fewer than 8 values to fit, a
-window too narrow for the top --bins count to give normal-float bins, or no
-drawn bin count that puts them in 4 non-empty bins); 3 numerical failure,
+read, a --fits or --reps too large to allocate, or an OSError such as an
+unreadable path); 2 data error, raised as corpus.DataError (malformed corpus,
+text that is not UTF-8, a CSV the csv module cannot read, nothing to process,
+budgets, an award's FWCI values or all eligible FWCI values whose sum
+overflows, fewer than 8 values to fit, a window whose bins at the top --bins
+count lie too close to 0 for the fit's sums to stay finite, or no drawn bin
+count that puts them in 4 non-empty bins); 3 numerical failure,
 raised as corpus.NumericalError, which lognormal re-exports (every ensemble
 fit failed although some bin count had 4 non-empty bins, a fitted statistic
 overflowed, the fit had no mass in its window, a simulated median
@@ -311,7 +312,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     # Log view: whole eligible sample with zeros displaced, for display; the
     # cross-check normal fit runs on ln of the fitted sample only, over its window.
-    log_all = histogram.log_transform(all_values, _ZERO_SHIFT)
+    log_all = np.log(np.where(all_values > 0, all_values, _ZERO_SHIFT))
     log_hist = histogram.build_histogram(log_all, _LOG_LO, _LOG_HI, _LOG_BINS)
     _write_series(args, "hist_log.csv", ["center", "count"], log_hist.centers, log_hist.counts)
 
@@ -464,6 +465,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a --fits or --reps too large to allocate; Python's own raises it with no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

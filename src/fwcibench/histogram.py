@@ -1,4 +1,4 @@
-"""Fixed-width histograms over half-open ranges, plus the log view's zero displacement."""
+"""Fixed-width histograms over half-open ranges."""
 
 from __future__ import annotations
 
@@ -13,9 +13,7 @@ class Histogram:
     """Binned counts over [lo, hi) with equal-width bins.
 
     ``counts[i]`` holds the values that fell in bin i; ``centers[i]`` is the
-    bin midpoint lo + (i + 1/2) * width. ``n_dropped`` counts input values
-    outside [lo, hi), kept so that counts plus drops always account for the
-    whole input.
+    bin midpoint lo + (i + 1/2) * (hi - lo) / n_bins.
     """
 
     lo: float
@@ -23,19 +21,14 @@ class Histogram:
     n_bins: int
     counts: np.ndarray
     centers: np.ndarray
-    n_dropped: int = 0
-
-    @property
-    def width(self) -> float:
-        return (self.hi - self.lo) / self.n_bins
 
 
 def build_histogram(values, lo: float, hi: float, n_bins: int) -> Histogram:
     """Bin ``values`` into ``n_bins`` equal-width bins over [lo, hi): :func:`binned_rows` at one count.
 
     The width (hi - lo) / n_bins must be a finite float > 0. The range is
-    half-open, so a value exactly at ``hi`` is dropped; out-of-range values
-    (including NaN) are dropped and counted in ``n_dropped``.
+    half-open, so a value exactly at ``hi`` is dropped, as is every value
+    outside it (NaN included).
     """
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got [{lo}, {hi})")
@@ -48,14 +41,7 @@ def build_histogram(values, lo: float, hi: float, n_bins: int) -> Histogram:
     (centers,), (counts,) = binned_rows(inside - lo, lo, hi, np.array([n_bins]), n_bins)
     counts.setflags(write=False)
     centers.setflags(write=False)
-    return Histogram(
-        lo=float(lo),
-        hi=float(hi),
-        n_bins=int(n_bins),
-        counts=counts,
-        centers=centers,
-        n_dropped=int(v.size - inside.size),
-    )
+    return Histogram(lo=float(lo), hi=float(hi), n_bins=int(n_bins), counts=counts, centers=centers)
 
 
 def binned_rows(offsets, lo: float, hi: float, n: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -71,18 +57,3 @@ def binned_rows(offsets, lo: float, hi: float, n: np.ndarray, length: int) -> tu
     for row, k, w in zip(counts, n.tolist(), width.tolist()):
         row[:k] = np.bincount(np.minimum((offsets / w).astype(np.intp), k - 1), minlength=k)
     return centers, counts
-
-
-def log_transform(values, zero_shift: float) -> np.ndarray:
-    """Natural log of non-negative values, displacing exact zeros to ln(zero_shift).
-
-    Only v == 0 is displaced; positive values below ``zero_shift`` keep their
-    true logarithm. Negative inputs are an error.
-    """
-    if not (zero_shift > 0):
-        raise ValueError(f"zero_shift must be > 0, got {zero_shift}")
-    v = np.asarray(values, dtype=float)
-    if np.any(v < 0):
-        raise ValueError("log_transform requires non-negative values")
-    out = np.where(v > 0, np.log(np.where(v > 0, v, 1.0)), math.log(zero_shift))
-    return out

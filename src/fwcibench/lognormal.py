@@ -269,10 +269,10 @@ def ensemble_fit(
     interpolation between order statistics); ``n_failed`` counts the draws
     whose fit failed, not the distinct counts. All fits start from the
     log-sample moments of ``values``. Identical inputs give bit-identical
-    results. Fewer than 8 values, bins at bins_hi below the smallest normal
-    float, or no drawn count that puts the values in _MIN_BINS non-empty
-    bins raises DataError; NumericalError means every fit failed although
-    some drawn count had its _MIN_BINS bins.
+    results. Fewer than 8 values, a bin center at bins_hi too close to 0
+    for the fit's sums to stay finite, or no drawn count that puts the
+    values in _MIN_BINS non-empty bins raises DataError; NumericalError
+    means every fit failed although some drawn count had its _MIN_BINS bins.
     """
     arr = np.asarray(values, dtype=float).ravel()
     if not (0 <= lo < hi < math.inf):
@@ -285,8 +285,10 @@ def ensemble_fit(
         raise ValueError(f"need n_fits >= 1, got {n_fits}")
     if arr.size < 8:
         raise DataError(f"only {arr.size} values inside [{lo!r}, {hi!r}); too few to fit")
-    if (hi - lo) / bins_hi < np.finfo(float).smallest_normal:
-        raise DataError(f"the window [{lo!r}, {hi!r}) is too narrow for {bins_hi} bins: a bin would be narrower than the smallest normal float")
+    # Each of a fit's L padded cells adds at most (e / x)^2 <= 1 / x^2 to J'J, so its centers must keep L / x^2 finite.
+    least_center = math.sqrt((bins_hi + -bins_hi % _PAD) / np.finfo(float).max)
+    if lo + (hi - lo) / bins_hi / 2 < least_center:
+        raise DataError(f"the window [{lo!r}, {hi!r}) lies too close to 0 for {bins_hi} bins: a bin center below {least_center:.3g} overflows the fit")
 
     logs = np.log(arr)
     init = LognormalParams(mu=float(logs.mean()), sigma=max(float(logs.std()), 1e-3))

@@ -119,13 +119,14 @@ def median_curve(n_values, baselines, reps: int, seed: int) -> list[MedianCurveP
         raise ValueError("baselines must be non-empty")
 
     params = [base.params for base in base_list]
+    # The reps-long arrays first: reps too large to allocate then fail here, before anything reps / _BLOCK long is built.
+    totals, scratch = np.zeros((len(params), reps)), np.empty(reps)
     n_blocks = -(-reps // _BLOCK)
     bounds = [b * reps // n_blocks for b in range(n_blocks + 1)]
     # Seeded here, before any worker starts: the first default_rng imports
     # numpy.random, whose memory would otherwise land in a worker's malloc arena.
     streams = [_stream(seed, b) for b in range(n_blocks)]
     normals = [np.empty((bounds[b + 1] - bounds[b] + 1) // 2) for b in range(n_blocks)]  # ceil(m / 2) per block
-    totals, scratch = np.zeros((len(params), reps)), np.empty(reps)
     half = reps // 2
     out: list[dict[int, float]] = [{} for _ in params]
 

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -631,9 +632,11 @@ def test_fit_on_values_no_drawn_bin_count_separates_is_a_data_error(tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "bins,top", [([], 800), (["--bins", "4:20", "--fits", "50"], 20)], ids=["default-bins", "bins-4-20"]
+    "bins,top,least",
+    [([], 800, "2.15e-153"), (["--bins", "4:20", "--fits", "50"], 20, "5.97e-154")],
+    ids=["default-bins", "bins-4-20"],
 )
-def test_fit_on_a_window_too_narrow_for_its_top_bin_count_is_a_data_error(bins, top, tmp_path, capsys):
+def test_fit_on_a_window_too_narrow_for_its_top_bin_count_is_a_data_error(bins, top, least, tmp_path, capsys):
     # 12 subnormal values; 5e-322 / 20 is subnormal and 5e-322 / 800 is 0. Runs with RuntimeWarning as an error.
     path = tmp_path / "subnormal.csv"
     rows = [[f"11/IA/{2000 + i}", 2019, "article", repr((i + 1) * 2e-323), 1, "t", f"W{i}"] for i in range(12)]
@@ -642,9 +645,28 @@ def test_fit_on_a_window_too_narrow_for_its_top_bin_count_is_a_data_error(bins, 
     args = ["fit", "--input", str(path), "--out", str(out), "--range", "0:5e-322", "--low-cut", "0", *bins]
     assert cli.main(args) == 2
     err = assert_one_line_error(capsys)
-    narrow = f"the window [0.0, 5e-322) is too narrow for {top} bins"
-    assert err == f"error: {narrow}: a bin would be narrower than the smallest normal float\n"
+    narrow = f"the window [0.0, 5e-322) lies too close to 0 for {top} bins"
+    assert err == f"error: {narrow}: a bin center below {least} overflows the fit\n"
     assert not (out / "fit_report.txt").exists()
+
+
+@pytest.mark.parametrize("scale,code", [(1e-160, 2), (1e-150, 0)], ids=["refused-1e-160", "fitted-1e-150"])
+def test_fit_refuses_bins_too_close_to_0_for_the_scaled_model(scale, code, tmp_path, capsys):
+    # At 800 bins over 0:10 * scale, the least center is scale / 160. J'J sums 832 cells of (e / x)^2 <= 1 / x^2,
+    # which stays finite down to x = 2.15e-153; at 1e-160 LM overflowed into "all fits failed". RuntimeWarning is an error.
+    path = tmp_path / "tiny.csv"
+    rows = [[f"11/IA/{2000 + i % 20}", 2019, "article", repr((1 + i / 200) * scale), 1, "t", f"W{i}"] for i in range(200)]
+    write_csv(path, list(CSV_COLUMNS), rows)
+    out = tmp_path / "out"
+    args = ["fit", "--input", str(path), "--out", str(out), "--range", f"0:{10 * scale!r}", "--low-cut", "0", "--fits", "200"]
+    assert cli.main(args) == code
+    if code:
+        err = assert_one_line_error(capsys)
+        assert err == "error: the window [0.0, 1e-159) lies too close to 0 for 800 bins: a bin center below 2.15e-153 overflows the fit\n"
+        assert not (out / "fit_report.txt").exists()
+    else:
+        assert capsys.readouterr().err == ""
+        assert "  fitted = 200\n" in (out / "fit_report.txt").read_text(encoding="utf-8")
 
 
 def test_fit_whose_one_drawn_bin_count_is_below_four_is_a_data_error(corpus_path, tmp_path, capsys):
@@ -681,6 +703,31 @@ def test_fit_with_an_empty_consistency_window_reports_it_unavailable(tmp_path, c
     assert capsys.readouterr().err == ""
     report = (out / "fit_report.txt").read_text(encoding="utf-8")
     assert "consistency (normal fit to ln values):\n  unavailable: need lo < hi" in report
+
+
+def test_fit_log_view_shows_zero_fwci_papers_at_the_zero_shift(tmp_path):
+    # uncited papers sit at ln 0.01 = -4.605, in the bin [-4.8, -4.6) centred at -4.7, beside true values there;
+    # 0.005 and 30 fall outside the view's [-5, 3)
+    draws = np.exp(-0.0761 + 0.933 * np.random.default_rng(30).standard_normal(300))
+    values = [*draws.tolist(), 0.0085, 0.009, 0.005, 30.0, *[0.0] * 7]
+    path = tmp_path / "pubs.csv"
+    rows = [[f"11/IA/{3000 + i % 5}", 2019, "article", repr(v), 1, "t", f"W{i}"] for i, v in enumerate(values)]
+    write_csv(path, list(CSV_COLUMNS), rows)
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(path), "--fits", "20", "--out", str(out)]) == 0
+    with open(out / "hist_log.csv", encoding="utf-8", newline="") as fh:
+        rows = [(float(r["center"]), int(r["count"])) for r in csv.DictReader(fh)]
+    logs = [math.log(v) if v > 0 else math.log(0.01) for v in values]
+    at_shift = [count for center, count in rows if center == pytest.approx(-4.7)]
+    assert at_shift == [7 + sum(-4.8 <= t < -4.6 for t in logs if t != math.log(0.01))] == [9]
+    assert sum(count for _, count in rows) == sum(-5.0 <= t < 3.0 for t in logs) == len(values) - 2
+
+
+def test_fit_with_a_fits_count_too_large_to_allocate_is_a_usage_error(corpus_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(corpus_path), "--out", str(out), "--fits", "1000000000000000"]) == 1
+    assert assert_one_line_error(capsys).startswith("error: Unable to allocate ")
+    assert not (out / "fit_report.txt").exists()
 
 
 def test_fit_on_empty_corpus(tmp_path):
@@ -832,6 +879,32 @@ def test_curve_matches_library_values(tmp_path):
         assert float(row["median_mean"]) == point.median_mean
         assert int(row["reps"]) == 2000 and int(row["seed"]) == 3
     assert (out / "curve_report.txt").read_text(encoding="utf-8").count("points = 9") == 1
+
+
+def test_curve_with_reps_too_large_to_allocate_fails_at_once(tmp_path):
+    # Run under a 2 GiB address-space limit, so that a tree which builds reps / 2**15 block bounds first hits a
+    # MemoryError there instead of filling the machine's memory.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fwcibench.__file__)), OPENBLAS_NUM_THREADS="1")
+    argv = ["curve", "--n-list", "1", "--reps", "1000000000000000", "--out", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, "-m", "fwcibench.cli", *argv],
+        env=env, preexec_fn=limit_memory, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: Unable to allocate ") and done.stderr.count("\n") == 1, done.stderr
+    assert not (tmp_path / "out" / "median_curve.csv").exists()
+
+
+def test_a_memory_error_with_no_message_is_one_readable_line(monkeypatch, capsys):
+    def command(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_ingest", command)
+    assert cli.main(["ingest", "--input", "x.csv"]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_curve_dedupes_n_list(tmp_path, capsys):
