@@ -21,7 +21,12 @@ enough repeated codes, rejections and duplicates to exercise the parser at
 volume), ``ingest`` on a small table written here as CSV and as JSONL, whose
 titles and source ids hold a comma, a quote, LF, CR and CRLF, with one blank
 and one short row and two rejected rows, one of them with an LF in its title
-(the writer's quoting, both parsers and the one-line rejections), ``fit`` at
+(the writer's quoting, both parsers and the one-line rejections), ``ingest``
+on that CSV table with a budget table written here, whose two accepted codes
+(one with ``SFI/``) come with every kind of budget rejection: an empty and a
+blank code, ``12/IB/1234``, the amounts ``1_000``, a full-width ``10`` and
+``-5``, a short row with no amount, a repeat of the first code once
+normalized and a row whose note holds LF and CRLF, and one blank row, ``fit`` at
 the default flags, ``fit`` with non-default ``--low-cut``, ``--range`` and
 ``--bins``, ``fit`` with no low cut, ``fit`` on the tail window
 ``--range 1:8``, which leaves out the mode e^mu so that mu lies outside
@@ -100,16 +105,34 @@ NARROW_ROWS = [["12/IA/1570", "2019", "article", f"1.000{k % 4}", "1", "t", f"N{
 SUBNORMAL_ROWS = [["12/IA/1570", "2019", "article", repr((k + 1) * 2e-323), "1", "t", f"S{k}"] for k in range(12)]
 # The tiny table: 16 values (k + 1) * 5e-161, whose bins of 0:1e-159 are normal floats but too close to 0 to fit.
 TINY_ROWS = [["12/IA/1570", "2019", "article", repr((k + 1) * 5e-161), "1", "t", f"T{k}"] for k in range(16)]
+# The budget table for the quoted one: two accepted codes, then every way a budget row is rejected, with one blank row.
+BUDGET_ROWS = [
+    ["award_code", "budget_eur", "note"],
+    ["12/IA/1570", "250000", "accepted"],
+    ["SFI/14/IA/2508", "100000", "accepted, SFI/ prefix"],
+    ["", "5000", "empty code"],
+    ["   ", "5000", "blank code"],
+    ["12/IB/1234", "700", "bad code"],
+    ["15/IA/0001", "1_000", "digit separator"],
+    ["15/IA/0002", "１０", "full-width digits"],
+    ["15/IA/0003", "-5", "negative"],
+    ["15/IA/0004"],
+    ["SFI/12/1A/1570", "900", "repeats the first code"],
+    [],
+    ["15/IA/0005", "n/a", "line\nfeed and\r\nCRLF"],
+]
 # The runs fit must refuse; each keeps its exit code and stderr.
 REFUSED = {"fit-refused-narrow", "fit-refused-bins", "fit-refused-too-few", "fit-refused-subnormal", "fit-refused-tiny"}
 
 
 def write_small_inputs(input_dir: str) -> None:
-    """Write the quoted-cells table (``pubs.csv``, ``pubs.jsonl``), the narrow, subnormal and tiny ones in ``input_dir``."""
+    """Write the quoted-cells table (``pubs.csv``, ``pubs.jsonl``), its ``budgets.csv``, the narrow, subnormal and tiny ones in ``input_dir``."""
     os.makedirs(input_dir, exist_ok=True)
     for name, rows in (("narrow.csv", NARROW_ROWS), ("subnormal.csv", SUBNORMAL_ROWS), ("tiny.csv", TINY_ROWS)):
         with open(os.path.join(input_dir, name), "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerows([COLUMNS, *rows])
+    with open(os.path.join(input_dir, "budgets.csv"), "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(BUDGET_ROWS)
     with open(os.path.join(input_dir, "pubs.csv"), "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows([COLUMNS, *(row or [] for row in QUOTED_ROWS)])
     with open(os.path.join(input_dir, "pubs.jsonl"), "w", encoding="utf-8", newline="") as fh:
@@ -129,6 +152,9 @@ def runs(input_dir: str, input_60x_dir: str, input_quoted_dir: str) -> dict[str,
         ],
         "ingest-quoted": ["ingest", "--input", os.path.join(input_quoted_dir, "pubs.csv")],
         "ingest-quoted-jsonl": ["ingest", "--input", os.path.join(input_quoted_dir, "pubs.jsonl")],
+        "ingest-budget-rejections": [
+            "ingest", "--input", os.path.join(input_quoted_dir, "pubs.csv"), "--budgets", os.path.join(input_quoted_dir, "budgets.csv"),
+        ],
         "fit": ["fit", *pubs, *FITS],
         "fit-window": ["fit", *pubs, *FITS, "--low-cut", "0.2", "--range", "0.15:6", "--bins", "30:300", "--seed", "7"],
         "fit-no-cut": ["fit", *pubs, *FITS, "--low-cut", "0"],

@@ -183,25 +183,6 @@ def _csv_header(reader: Iterator[list[str]], required: tuple[str, ...], what: st
     return operator.itemgetter(*index), max(index) + 1
 
 
-def _csv_rows(
-    stream: TextIO, required: tuple[str, ...], what: str
-) -> Iterator[tuple[int, tuple[str, ...], list[str]]]:
-    """Yield ``(line_num, cells of required, all cells)`` for each non-blank data row of a CSV table.
-
-    A row shorter than the header reads its missing cells as empty. A line
-    the ``csv`` module cannot read raises :class:`DataError` with its line
-    number.
-    """
-    reader = csv.reader(stream)
-    try:
-        pick, width = _csv_header(reader, required, what)
-        for cells in reader:
-            if any(map(str.strip, cells)):
-                yield reader.line_num, pick(cells if len(cells) >= width else cells + [""] * width), cells
-    except csv.Error as exc:
-        raise DataError(f"line {reader.line_num}: {exc}") from exc
-
-
 def _first_line(line_num: int, cells: list[str]) -> int:
     """The first line of a CSV row that ``csv.reader`` read up to line ``line_num``: less the line breaks in its cells, a CRLF counting once."""
     text = ",".join(cells)
@@ -462,34 +443,39 @@ def summarize_awards(
 def load_budgets(stream: TextIO) -> tuple[dict[str, float], list[RowRejection]]:
     """Read a two-column budget file (award_code, budget_eur) keyed by normalized code.
 
-    A row whose normalized code an earlier accepted row already holds is
-    rejected: the first amount is kept, as :func:`dedupe_per_award` keeps the
-    first record.
+    Codes and amounts are read, and rejected rows reported, by the rules of
+    :func:`parse_records`. A row whose normalized code an earlier accepted
+    row already holds is rejected: the first amount is kept, as
+    :func:`dedupe_per_award` keeps the first record.
     """
     budgets: dict[str, float] = {}
     first_rows: dict[str, tuple[int, list[str]]] = {}
     rejections: list[RowRejection] = []
-    for line_num, (code_cell, amount_cell), cells in _csv_rows(stream, ("award_code", "budget_eur"), "budget"):
-        try:
-            code = normalize_award_code(code_cell)
-        except AwardCodeError as exc:
-            rejections.append(_csv_rejection(line_num, f"award code {exc.reason}", cells))
-            continue
-        try:
-            amount = _number(float, amount_cell.strip())
-        except ValueError:
-            rejections.append(_csv_rejection(line_num, "budget_eur is not a number", cells))
-            continue
-        if not math.isfinite(amount) or amount < 0:
-            reason = "budget_eur must be a finite non-negative amount"
-            rejections.append(_csv_rejection(line_num, reason, cells))
-            continue
-        first = first_rows.setdefault(code, (line_num, cells))
-        if first[0] != line_num:
-            reason = f"award code {code} repeats row {_first_line(*first)}; the first amount is kept"
-            rejections.append(_csv_rejection(line_num, reason, cells))
-            continue
-        budgets[code] = amount
+    reader = csv.reader(stream)
+    try:
+        pick, width = _csv_header(reader, ("award_code", "budget_eur"), "budget")
+        for cells in reader:
+            if not any(map(str.strip, cells)):
+                continue
+            code_cell, amount_cell = pick(cells if len(cells) >= width else cells + [""] * width)
+            code, reason = _parse_award_code(code_cell)
+            if not reason:
+                try:
+                    amount = _number(float, amount_cell.strip())
+                except ValueError:
+                    reason = "budget_eur is not a number"
+                else:
+                    if not math.isfinite(amount) or amount < 0:
+                        reason = "budget_eur must be a finite non-negative amount"
+            if not reason and code in first_rows:
+                reason = f"award code {code} repeats row {_first_line(*first_rows[code])}; the first amount is kept"
+            if reason:
+                rejections.append(_csv_rejection(reader.line_num, reason, cells))
+                continue
+            first_rows[code] = (reader.line_num, cells)
+            budgets[code] = amount
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from exc
     return budgets, rejections
 
 

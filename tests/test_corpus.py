@@ -734,6 +734,26 @@ def test_load_budgets():
     ]
 
 
+@pytest.mark.parametrize(
+    "cell,reason",
+    [
+        ("", "missing award_code"),
+        ("   ", "missing award_code"),
+        ("bad code", "award code does not match YY/IA/XXXX"),
+        ("１２/IA/1234", "award code does not match YY/IA/XXXX"),
+        ("12/IB/1234", "award code does not match YY/IA/XXXX"),
+        ("SFI/12/1A/1570", ""),
+    ],
+)
+def test_budget_and_record_tables_read_a_code_cell_alike(cell, reason):
+    budgets, budget_rejections = corpus.load_budgets(io.StringIO(f"award_code,budget_eur\n{cell},100\n"))
+    records, record_rejections = corpus.parse_records(io.StringIO(HEADER + f"{cell},2014,article,1.0,5,t,a1\n"))
+    assert [(r.row, r.reason) for r in budget_rejections] == [(r.row, r.reason) for r in record_rejections]
+    assert [(r.row, r.reason) for r in budget_rejections] == ([(2, reason)] if reason else [])
+    if not reason:
+        assert list(budgets) == [r.award_code for r in records] == ["12/IA/1570"]
+
+
 def test_a_repeated_budget_code_keeps_the_first_amount():
     # rows 2, 4 and 6 normalize to one code; row 3's rejected amount claims nothing, so row 5 is the first for 12/IA/1571
     text = "award_code,budget_eur\n08/IA/1234,100\n12/IA/1571,-1\nSFI/08/IA/1234,900\n12/IA/1571,50\n08/1A/1234,7\n"
