@@ -1,11 +1,13 @@
 """Parent-versus-change benchmark pairs, written to ``BENCH_<pr>.json``.
 
-    python3 scripts/bench.py PR [--pairs K] [--seconds S]
+    python3 scripts/bench.py PR BASE
 
-Run from a checkout whose last commit is the change. The script extracts the
-parent commit (``HEAD^``) once, with ``git archive``, into a temporary
-directory. Then, for each workload of ``BENCHMARK.json``, it runs this
-tree's ``perfbench/run.py --workload W --seed 1 --seconds S`` K times in each
+Run after committing the change. BASE is the commit the change builds on.
+The script extracts both BASE (the parent) and ``HEAD`` (the change) with
+``git archive`` into temporary directories, so only committed trees are
+timed, and writes both commit ids into the file. Then, for each workload of
+``BENCHMARK.json``, it runs the change's ``perfbench/run.py --workload W
+--seed 1 --seconds S``, with S the file's ``run_seconds``, 10 times in each
 tree, alternating which tree goes first (the parent in odd pairs, the change
 in even ones). Each run has its tree as working directory, since ``run.py``
 times the ``src`` it finds there, and both trees get this process's
@@ -32,17 +34,18 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RUN = os.path.join(ROOT, "perfbench", "run.py")
 SEED = "1"
+# Ten alternating pairs per workload, the fewest a change is judged on.
+PAIRS = 10
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
 # The variables that change what a launch pays for (BLAS threads, bytecode caching); reported as set.
 ENV_NOTED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
 
 
-def run_once(tree: str, workload: str, seconds: float, trace: int = 0) -> tuple[dict, dict]:
-    """``(record, result)`` of one ``run.py`` run in ``tree``."""
-    cmd = [sys.executable, RUN, "--workload", workload, "--seed", SEED, "--seconds", str(seconds), "--trace", str(trace)]
+def run_once(run: str, tree: str, workload: str, seconds: float, trace: int = 0) -> tuple[dict, dict]:
+    """``(record, result)`` of one run of the script ``run`` in ``tree``."""
+    cmd = [sys.executable, run, "--workload", workload, "--seed", SEED, "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=600)
     lines = done.stdout.splitlines()
     if done.returncode != 0 or len(lines) < 2:
@@ -65,8 +68,11 @@ def side_summary(runs: list[tuple[dict, dict]]) -> dict:
     return summary
 
 
-def assemble(pr: int, runs: dict[str, dict[str, list[tuple[dict, dict]]]], traced: dict[str, tuple[dict, dict]]) -> dict:
-    """The BENCH file: ``runs[workload][side]`` holds each pair's run in pair order, ``traced[workload]`` the traced run."""
+def assemble(
+    pr: int, commits: dict[str, str], runs: dict[str, dict[str, list[tuple[dict, dict]]]], traced: dict[str, tuple[dict, dict]]
+) -> dict:
+    """The BENCH file: ``commits[side]`` is each tree's commit id, ``runs[workload][side]`` each pair's run in pair
+    order, ``traced[workload]`` the traced run."""
     records = [record for by_side in runs.values() for side in by_side.values() for record, _ in side]
     loads = [record["context"]["loadavg"][0] for record in records]
     workloads = {}
@@ -81,6 +87,7 @@ def assemble(pr: int, runs: dict[str, dict[str, list[tuple[dict, dict]]]], trace
         }
     return {
         "pr": pr,
+        "commits": commits,
         "seed": int(SEED),
         "seconds": records[0]["seconds"],
         "nproc": records[0]["context"]["nproc"],
@@ -89,37 +96,46 @@ def assemble(pr: int, runs: dict[str, dict[str, list[tuple[dict, dict]]]], trace
     }
 
 
+def extract(commit: str, into: str) -> None:
+    """Write the committed tree of ``commit`` into the directory ``into``."""
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into)
+
+
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description="Benchmark the parent commit against this tree and write BENCH_<pr>.json.")
+    parser = argparse.ArgumentParser(description="Benchmark BASE against HEAD and write BENCH_<pr>.json.")
     parser.add_argument("pr", type=int, metavar="PR")
-    parser.add_argument("--pairs", type=int, default=5, help="runs per tree and workload (at least 2; default 5)")
-    parser.add_argument("--seconds", type=float, help="run.py --seconds (default: BENCHMARK.json's run_seconds)")
+    parser.add_argument("base", metavar="BASE", help="the commit the change builds on")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, for quartiles")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    seconds = args.seconds or bench["run_seconds"]
     names = [w["name"] for w in bench["workloads"]]
+    commits = {}
+    for side, rev in zip(SIDES, (args.base, "HEAD")):
+        done = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT, capture_output=True, text=True)
+        if done.returncode != 0:
+            parser.error(f"{rev} is not a commit")
+        commits[side] = done.stdout.strip()
     runs = {name: {side: [] for side in SIDES} for name in names}
     traced = {}
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
-        archive = subprocess.run(["git", "archive", "HEAD^"], cwd=ROOT, capture_output=True, check=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(parent)
-        trees = {"parent": parent, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        trees = {side: os.path.join(tmp, side) for side in SIDES}
+        for side in SIDES:
+            extract(commits[side], trees[side])
+        run = os.path.join(trees["change"], "perfbench", "run.py")
         try:
             for name in names:
-                for k in range(args.pairs):
+                for k in range(PAIRS):
                     for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                        record, result = run_once(trees[side], name, seconds)
+                        record, result = run_once(run, trees[side], name, bench["run_seconds"])
                         runs[name][side].append((record, result))
                         print(f"{name} pair {k + 1} {side}: wall_s {result['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
-                traced[name] = run_once(ROOT, name, seconds, trace=1)
+                traced[name] = run_once(run, trees["change"], name, bench["run_seconds"], trace=1)
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    out = assemble(args.pr, runs, traced)
+    out = assemble(args.pr, commits, runs, traced)
     out["env"] = {var: os.environ.get(var) for var in ENV_NOTED}
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -31,8 +31,9 @@ def test_assemble_gives_medians_iqrs_launches_and_pairs_won():
         }
     }
     traced = {"ingest-200k": ({}, {"correct": True, "metrics": {"corpus.rows": {"value": 193000, "unit": "count"}}})}
-    out = bench.assemble(31, runs, traced)
+    out = bench.assemble(31, {"parent": "a" * 40, "change": "b" * 40}, runs, traced)
     assert (out["pr"], out["seed"], out["seconds"], out["nproc"]) == (31, 1, 26.0, 2)
+    assert out["commits"] == {"parent": "a" * 40, "change": "b" * 40}
     assert out["loadavg_1m"] == {"min": 0.5, "max": 1.5}
     w = out["workloads"]["ingest-200k"]
     # parent wall 1.0, 1.1, 1.2: quartiles 1.05 and 1.15; change 0.9, 1.0, 1.3: quartiles 0.95 and 1.15
@@ -53,4 +54,4 @@ def test_assemble_gives_medians_iqrs_launches_and_pairs_won():
 def test_a_tie_is_no_win():
     runs = {"fit-paper": {"parent": [run(1.0, 0.1, 40.0, 5)] * 2, "change": [run(1.0, 0.1, 40.0, 5)] * 2}}
     traced = {"fit-paper": ({}, {"correct": True, "metrics": {}})}
-    assert bench.assemble(1, runs, traced)["workloads"]["fit-paper"]["change_won_wall_s"] == 0
+    assert bench.assemble(1, {"parent": "a", "change": "b"}, runs, traced)["workloads"]["fit-paper"]["change_won_wall_s"] == 0
