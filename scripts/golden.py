@@ -26,8 +26,15 @@ on that CSV table with a budget table written here, whose two accepted codes
 (one with ``SFI/``) come with every kind of budget rejection: an empty and a
 blank code, ``12/IB/1234``, the amounts ``1_000``, a full-width ``10`` and
 ``-5``, a short row with no amount, a repeat of the first code once
-normalized and a row whose note holds LF and CRLF, and one blank row, ``fit`` at
-the default flags, ``fit`` with non-default ``--low-cut``, ``--range`` and
+normalized and a row whose note holds LF and CRLF, and one blank row,
+``ingest`` on an award-code table written here as CSV and as JSONL, one row
+per code cell: the five that the code rule accepts (canonical, ``SFI/``,
+``1A`` for ``IA``, both, and one with blanks around it), seven that it
+rejects (``SFI/`` alone, ``SFI/`` twice, a lower-case ``sfi/``, a
+lower-case ``ia``, a five-digit serial, full-width digits and a fourth
+segment) and an empty and a blank one, the JSONL table adding the codes
+``1570``, ``true``, ``null``, a list and an object, ``fit`` at the default
+flags, ``fit`` with non-default ``--low-cut``, ``--range`` and
 ``--bins``, ``fit`` with no low cut, ``fit`` on the tail window
 ``--range 1:8``, which leaves out the mode e^mu so that mu lies outside
 every bin, ``fit`` at ``--bins 2:30``, whose counts 2 and 3 always fail, so
@@ -121,12 +128,25 @@ BUDGET_ROWS = [
     [],
     ["15/IA/0005", "n/a", "line\nfeed and\r\nCRLF"],
 ]
+# The award-code table: one row per code cell, each repair the code rule makes, then each kind of code it rejects.
+CODE_CELLS = [
+    "12/IA/1570", "SFI/12/IA/1570", "14/1A/2508", "SFI/14/1A/2508", " 15/IA/0001 ",
+    "SFI/", "SFI/SFI/12/IA/1570", "sfi/12/IA/1570", "12/ia/1570", "12/IA/15700", "１２/IA/1570", "12/IA/1570/x",
+    "", "   ",
+]
+# Codes that only the JSONL table can hold: JSON values that are not strings.
+JSON_CODES = [1570, True, None, ["12/IA/1570"], {"code": "12/IA/1570"}]
 # The runs fit must refuse; each keeps its exit code and stderr.
 REFUSED = {"fit-refused-narrow", "fit-refused-bins", "fit-refused-too-few", "fit-refused-subnormal", "fit-refused-tiny"}
 
 
+def _code_rows(codes: list) -> list[list]:
+    return [[code, "2019", "article", "1.0", "1", "t", f"C{k}"] for k, code in enumerate(codes)]
+
+
 def write_small_inputs(input_dir: str) -> None:
-    """Write the quoted-cells table (``pubs.csv``, ``pubs.jsonl``), its ``budgets.csv``, the narrow, subnormal and tiny ones in ``input_dir``."""
+    """Write the quoted-cells table (``pubs.csv``, ``pubs.jsonl``), its ``budgets.csv``, the award-code table
+    (``codes.csv``, ``codes.jsonl``), the narrow, subnormal and tiny ones in ``input_dir``."""
     os.makedirs(input_dir, exist_ok=True)
     for name, rows in (("narrow.csv", NARROW_ROWS), ("subnormal.csv", SUBNORMAL_ROWS), ("tiny.csv", TINY_ROWS)):
         with open(os.path.join(input_dir, name), "w", encoding="utf-8", newline="") as fh:
@@ -137,6 +157,10 @@ def write_small_inputs(input_dir: str) -> None:
         csv.writer(fh).writerows([COLUMNS, *(row or [] for row in QUOTED_ROWS)])
     with open(os.path.join(input_dir, "pubs.jsonl"), "w", encoding="utf-8", newline="") as fh:
         fh.writelines(json.dumps(dict(zip(COLUMNS, row))) + "\n" if row else "\n" for row in QUOTED_ROWS)
+    with open(os.path.join(input_dir, "codes.csv"), "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([COLUMNS, *_code_rows(CODE_CELLS)])
+    with open(os.path.join(input_dir, "codes.jsonl"), "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(json.dumps(dict(zip(COLUMNS, row))) + "\n" for row in _code_rows(CODE_CELLS + JSON_CODES))
 
 
 def runs(input_dir: str, input_60x_dir: str, input_quoted_dir: str) -> dict[str, list[str]]:
@@ -152,6 +176,8 @@ def runs(input_dir: str, input_60x_dir: str, input_quoted_dir: str) -> dict[str,
         ],
         "ingest-quoted": ["ingest", "--input", os.path.join(input_quoted_dir, "pubs.csv")],
         "ingest-quoted-jsonl": ["ingest", "--input", os.path.join(input_quoted_dir, "pubs.jsonl")],
+        "ingest-codes": ["ingest", "--input", os.path.join(input_quoted_dir, "codes.csv")],
+        "ingest-codes-jsonl": ["ingest", "--input", os.path.join(input_quoted_dir, "codes.jsonl")],
         "ingest-budget-rejections": [
             "ingest", "--input", os.path.join(input_quoted_dir, "pubs.csv"), "--budgets", os.path.join(input_quoted_dir, "budgets.csv"),
         ],

@@ -10,7 +10,8 @@ read, a --fits or --reps too large to allocate, or an OSError such as an
 unreadable path); 2 data error, raised as corpus.DataError (malformed corpus,
 text that is not UTF-8, a CSV the csv module cannot read, nothing to process,
 budgets, an award's FWCI values or all eligible FWCI values whose sum
-overflows, fewer than 8 values to fit, a window whose bins at the top --bins
+overflows, a --low-cut at or above the top of --range, which leaves fit an
+empty window, fewer than 8 values to fit, a window whose bins at the top --bins
 count lie too close to 0 for the fit's sums to stay finite, or no drawn bin
 count that puts them in 4 non-empty bins); 3 numerical failure,
 raised as corpus.NumericalError, which lognormal re-exports (every ensemble
@@ -292,6 +293,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise DataError("the eligible FWCI values sum past the largest float; no naive_mean_all")
     low, main = corpus.split_low_fwci(eligible, args.low_cut)
     window_lo = max(fit_lo, args.low_cut)  # the fitted sample lies in [window_lo, fit_hi)
+    if window_lo >= fit_hi:
+        raise DataError(f"--low-cut {args.low_cut!r} leaves --range {fit_lo!r}:{fit_hi!r} an empty fit window [{window_lo!r}, {fit_hi!r})")
     fit_values = np.array([r.fwci for r in main if window_lo <= r.fwci < fit_hi and r.fwci > 0], dtype=float)
     n_outside = len(main) - fit_values.size
     ensemble = lognormal.ensemble_fit(fit_values, window_lo, fit_hi, *args.bins, args.fits, args.seed)

@@ -30,21 +30,15 @@ DEFAULT_INCLUDED_TYPES = frozenset({"article", "conference_paper", "letter", "no
 
 CSV_COLUMNS = ("award_code", "year", "pub_type", "fwci", "citations", "title", "source_id")
 
-# [0-9], not \d: \d also matches full-width and other Unicode digits, which would spawn a second award.
-_CANONICAL_CODE = re.compile(r"^[0-9]{2}/IA/[0-9]{4}$")
+# The one award-code rule: YY/IA/XXXX, with an optional leading SFI/ stripped and the
+# digit-one-for-letter-I typo (1A) repaired. Anything else is rejected, not guessed
+# at: a typo'd code spawns a phantom award. [0-9], not \d: \d also matches
+# full-width and other Unicode digits, which would spawn a second award.
+_AWARD_CODE = re.compile(r"(?:SFI/)?([0-9]{2})/[I1]A/([0-9]{4})")
 # What a JSON "\ud800"-style escape decodes to when no partner completes the pair.
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 _MISSING_CODE = "missing award_code"
 _WRITE_CHUNK = 4096  # rows per write: one join of a 190k-row file raised ingest's peak RSS from 92 to 121 MB
-
-
-class AwardCodeError(ValueError):
-    """A grant code that cannot be brought to the canonical YY/IA/XXXX form."""
-
-    def __init__(self, raw: str, reason: str):
-        super().__init__(f"bad award code {raw!r}: {reason}")
-        self.raw = raw
-        self.reason = reason
 
 
 class DataError(Exception):
@@ -53,26 +47,6 @@ class DataError(Exception):
 
 class NumericalError(Exception):
     """A computation broke down: every ensemble fit failed, a derived statistic overflowed, or a simulated median underflowed."""
-
-
-def normalize_award_code(raw: str) -> str:
-    """Normalize a grant identifier to the canonical ``YY/IA/XXXX`` form.
-
-    Strips a leading ``SFI/`` prefix and repairs the digit-one-for-letter-I
-    typo in the middle segment (``1A`` becomes ``IA``). Only these two
-    documented cleanups are applied; anything else that fails the canonical
-    pattern raises :class:`AwardCodeError` rather than being guessed at,
-    since typo'd codes are known to spawn phantom awards downstream.
-    """
-    code = raw.strip()
-    if code.startswith("SFI/"):
-        code = code[len("SFI/") :]
-    parts = code.split("/")
-    if len(parts) == 3 and parts[1] == "1A":
-        code = "/".join((parts[0], "IA", parts[2]))
-    if not _CANONICAL_CODE.match(code):
-        raise AwardCodeError(raw, "does not match YY/IA/XXXX")
-    return code
 
 
 class PublicationRecord(NamedTuple):
@@ -140,10 +114,8 @@ def _parse_award_code(cell: object) -> tuple[str, str]:
     text = _text(cell)
     if not text:
         return "", _MISSING_CODE
-    try:
-        return normalize_award_code(text), ""
-    except AwardCodeError as exc:
-        return "", f"award code {exc.reason}"
+    m = _AWARD_CODE.fullmatch(text)
+    return (f"{m[1]}/IA/{m[2]}", "") if m else ("", "award code does not match YY/IA/XXXX")
 
 
 def _number(convert: Callable, text: str):

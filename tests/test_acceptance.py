@@ -7,6 +7,7 @@ asserted here.
 """
 
 import csv
+import io
 import math
 import os
 import time
@@ -19,7 +20,7 @@ from fwcibench import cli
 from fwcibench.corpus import (
     AwardSummary,
     PublicationRecord,
-    normalize_award_code,
+    parse_records,
     portfolio_totals,
     split_low_fwci,
 )
@@ -168,9 +169,13 @@ def test_c07_invariant_suite(trunc_sampler):
         failures.append("split: input order not preserved")
 
     # code normalization is idempotent
+    def parsed_code(raw):
+        (record,), _ = parse_records(io.StringIO(f"award_code,year,pub_type,fwci,citations,title,source_id\n{raw},2019\n"))
+        return record.award_code
+
     for raw in ("12/IA/3456", "SFI/13/IA/0042", "14/1A/2222", " 15/IA/8888 "):
-        once = normalize_award_code(raw)
-        if normalize_award_code(once) != once:
+        once = parsed_code(raw)
+        if parsed_code(once) != once:
             failures.append(f"normalize: {raw!r} not stable at {once!r}")
 
     assert not failures, "; ".join(failures)

@@ -559,6 +559,21 @@ def test_fit_names_the_half_open_window_when_too_few_values_remain(tmp_path, cap
     assert "only 2 values inside [1.0, 8.0); too few to fit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags,window",
+    [(["--low-cut", "8"], "--low-cut 8.0 leaves --range 0.0:8.0 an empty fit window [8.0, 8.0)"),
+     (["--range", "0:0.05"], "--low-cut 0.1 leaves --range 0.0:0.05 an empty fit window [0.1, 0.05)")],
+    ids=["low-cut-8", "range-0-0.05"],
+)
+def test_fit_whose_low_cut_empties_the_window_is_a_data_error(flags, window, corpus_path, tmp_path, capsys):
+    # the window [max(LO, --low-cut), HI) comes from the flags alone; an empty one is refused before ensemble_fit raises ValueError
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--input", str(corpus_path), "--out", str(out), *flags]) == 2
+    err = assert_one_line_error(capsys)
+    assert err == f"error: {window}\n" and "Traceback" not in err
+    assert not (out / "fit_report.txt").exists()
+
+
 def test_fit_on_a_window_that_leaves_out_the_mode(corpus_path, tmp_path, capsys):
     # e^mu is near 0.93, below every bin of the window, at every default bin count
     out = tmp_path / "out"

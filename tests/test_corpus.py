@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from fwcibench import corpus
 from fwcibench.corpus import (
-    AwardCodeError,
     AwardSummary,
     DataError,
     PublicationRecord,
@@ -21,23 +21,23 @@ def rec(code="12/IA/1234", year=2015, pub_type="article", fwci=1.0, source_id="s
     return PublicationRecord(award_code=code, year=year, pub_type=pub_type, fwci=fwci, source_id=source_id, **kw)
 
 
-# --- normalize_award_code ---
+# --- award codes ---
 
 
 def test_normalize_strips_prefix():
-    assert corpus.normalize_award_code("SFI/12/IA/1570") == "12/IA/1570"
+    assert corpus._parse_award_code("SFI/12/IA/1570") == ("12/IA/1570", "")
 
 
 def test_normalize_repairs_digit_one_typo():
-    assert corpus.normalize_award_code("14/1A/2508") == "14/IA/2508"
+    assert corpus._parse_award_code("14/1A/2508") == ("14/IA/2508", "")
 
 
 def test_normalize_passes_canonical_through():
-    assert corpus.normalize_award_code("12/IA/1234") == "12/IA/1234"
+    assert corpus._parse_award_code("12/IA/1234") == ("12/IA/1234", "")
 
 
 def test_normalize_trims_whitespace():
-    assert corpus.normalize_award_code("  13/IA/2073 ") == "13/IA/2073"
+    assert corpus._parse_award_code("  13/IA/2073 ") == ("13/IA/2073", "")
 
 
 @pytest.mark.parametrize(
@@ -45,9 +45,8 @@ def test_normalize_trims_whitespace():
     ["", "12/IB/1234", "123/IA/1234", "12/IA/123", "12/IA/12345", "12-IA-1234", "xx/IA/1234", "12/IA/", "１２/IA/1234"],
 )
 def test_normalize_rejects_noncanonical(bad):
-    with pytest.raises(AwardCodeError) as err:
-        corpus.normalize_award_code(bad)
-    assert err.value.raw == bad
+    reason = "award code does not match YY/IA/XXXX" if bad else "missing award_code"
+    assert corpus._parse_award_code(bad) == ("", reason)
 
 
 @given(
@@ -60,8 +59,9 @@ def test_normalize_idempotent(yy, xxxx, prefix, typo):
     raw = f"{yy:02d}/{'1A' if typo else 'IA'}/{xxxx:04d}"
     if prefix:
         raw = "SFI/" + raw
-    once = corpus.normalize_award_code(raw)
-    assert corpus.normalize_award_code(once) == once
+    once, reason = corpus._parse_award_code(raw)
+    assert reason == ""
+    assert corpus._parse_award_code(once) == (once, "")
 
 
 # --- parse_records ---
@@ -291,14 +291,24 @@ def _ref_absent(value):
     return value is None or (isinstance(value, str) and value.strip() == "")
 
 
+def _ref_award_code(raw):
+    """The code rule in steps, not corpus's one regex: strip, drop one ``SFI/``, repair a middle ``1A``, rejoin, check; None if it fails."""
+    code = raw.strip()
+    if code.startswith("SFI/"):
+        code = code[len("SFI/") :]
+    parts = code.split("/")
+    if len(parts) == 3 and parts[1] == "1A":
+        code = "/".join((parts[0], "IA", parts[2]))
+    return code if re.match(r"^[0-9]{2}/IA/[0-9]{4}$", code) else None
+
+
 def _ref_record(fields, row, raw):
     code_raw = fields.get("award_code")
     if _ref_absent(code_raw):
         return RowRejection(row, "missing award_code", raw)
-    try:
-        code = corpus.normalize_award_code(str(code_raw))
-    except AwardCodeError as exc:
-        return RowRejection(row, f"award code {exc.reason}", raw)
+    code = _ref_award_code(str(code_raw))
+    if code is None:
+        return RowRejection(row, "award code does not match YY/IA/XXXX", raw)
     year_raw = fields.get("year")
     if _ref_absent(year_raw):
         return RowRejection(row, "missing year", raw)
@@ -408,7 +418,7 @@ def _cells(usual, odd):
 CELLS = {
     "award_code": _cells(
         ["12/IA/1570", "SFI/12/IA/1570", "14/1A/2508", "SFI/14/1A/2508"],
-        ["12/IB/1234", "123/IA/1234", "12/ia/1570", "SFI/", ""],
+        ["12/IB/1234", "123/IA/1234", "12/ia/1570", "SFI/", "", "SFI/SFI/12/IA/1570", "１２/IA/1570", "12/IA/1570/x", "sfi/12/IA/1570"],
     ),
     "year": _cells(["2014", "2015", "0", "-3", "+7", "1_000", "\u0662\u0660"], ["2014.0", "1e3", "noyear", ""]),
     "pub_type": _cells(
